@@ -104,7 +104,7 @@ jobs::TenantSpec ml_tenant() {
 }
 
 struct TrioOutcome {
-  std::uint64_t calls = 0, degraded = 0, gets = 0, cached = 0;
+  std::uint64_t calls = 0, degraded = 0, gave_up = 0, gets = 0, cached = 0;
   int finished = 0;
   double p50_us = 0, p99_us = 0;
   double hit_us = 0, miss_us = 0;
@@ -149,6 +149,7 @@ TrioOutcome run_trio(Scenario sc, bool host_merge, bool co_allreduce,
   if (tr == nullptr) return out;
   out.calls = tr->netrpc.calls;
   out.degraded = tr->netrpc.degraded;
+  out.gave_up = tr->netrpc.gave_up;
   out.gets = tr->netrpc.gets;
   out.cached = tr->netrpc.cached_gets;
   out.finished = tr->finished;
@@ -343,8 +344,8 @@ int main(int argc, char** argv) {
   int failures = 0;
 
   // --- Call latency: scenario x system ------------------------------------
-  benchutil::row({"scenario", "system", "completed", "degraded", "p50_us",
-                  "p99_us"}, 12);
+  benchutil::row({"scenario", "system", "completed", "degraded", "gave_up",
+                  "p50_us", "p99_us"}, 12);
   struct Cell {
     double p99 = 0;
     std::uint64_t completed = 0;
@@ -353,7 +354,9 @@ int main(int argc, char** argv) {
   for (Scenario sc :
        {Scenario::kClean, Scenario::kStraggler, Scenario::kCrash}) {
     for (const char* system : {"trio", "hostmerge", "pisa"}) {
-      std::uint64_t completed = 0, degraded = 0;
+      // `completed` counts merged replies only; a call the client's
+      // call_timeout finished locally is a give-up, not a completion.
+      std::uint64_t completed = 0, degraded = 0, gave_up = 0;
       double p50 = 0, p99 = 0;
       if (std::strcmp(system, "pisa") == 0) {
         const PisaOutcome p = run_pisa(sc, calls);
@@ -365,20 +368,22 @@ int main(int argc, char** argv) {
             sc, std::strcmp(system, "hostmerge") == 0, false, calls, 0, 0);
         completed = t.calls;
         degraded = t.degraded;
+        gave_up = t.gave_up;
         p50 = t.p50_us;
         p99 = t.p99_us;
       }
       cells[std::string(scenario_name(sc)) + "/" + system] = {p99, completed};
       benchutil::row({scenario_name(sc), system,
                       std::to_string(completed) + "/" + std::to_string(calls),
-                      std::to_string(degraded), benchutil::fmt(p50),
-                      benchutil::fmt(p99)},
+                      std::to_string(degraded), std::to_string(gave_up),
+                      benchutil::fmt(p50), benchutil::fmt(p99)},
                      12);
       series.string("scenario", scenario_name(sc))
           .string("system", system)
           .number("calls", std::uint64_t(calls))
           .number("completed", completed)
           .number("degraded", degraded)
+          .number("gave_up", gave_up)
           .number("p50_us", p50)
           .number("p99_us", p99)
           .end_row();

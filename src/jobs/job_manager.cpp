@@ -620,8 +620,12 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
         client->call(netrpc_put_values(id, 0x1000 + seq % 16, seq, words),
                      [this, &tr, d](netrpc::CallResult res) {
                        --d->inflight;
-                       ++tr.netrpc.calls;
-                       if (res.degraded) ++tr.netrpc.degraded;
+                       if (res.gave_up) {
+                         ++tr.netrpc.gave_up;
+                       } else {
+                         ++tr.netrpc.calls;
+                         if (res.degraded) ++tr.netrpc.degraded;
+                       }
                        tr.netrpc.call_latency_us.add(res.latency.us());
                        const std::uint8_t meta[2] = {
                            res.server_cnt,

@@ -47,8 +47,9 @@ struct AdmissionResult {
 
 /// A NetRPC tenant's workload outcome (closed-loop driver per client).
 struct NetRpcRun {
-  std::uint64_t calls = 0;          // fan-out RPCs completed
-  std::uint64_t degraded = 0;       // completed partial by the aging scan
+  std::uint64_t calls = 0;          // fan-out RPCs completed by a merge
+  std::uint64_t degraded = 0;       // of those, merged partial by aging
+  std::uint64_t gave_up = 0;        // completed by the client's call_timeout
   std::uint64_t gets = 0;
   std::uint64_t cached_gets = 0;    // answered by the PFE's hot-key cache
   std::uint64_t puts = 0;

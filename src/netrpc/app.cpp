@@ -1,6 +1,5 @@
 #include "netrpc/app.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 #include "telemetry/trace.hpp"
@@ -10,13 +9,13 @@ namespace netrpc {
 
 namespace {
 
-std::uint64_t le64(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint64_t le64(std::span<const std::uint8_t> v, std::size_t off) {
   std::uint64_t x = 0;
   for (int i = 0; i < 8; ++i) x |= std::uint64_t(v[off + i]) << (8 * i);
   return x;
 }
 
-std::uint32_t le32(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint32_t le32(std::span<const std::uint8_t> v, std::size_t off) {
   return std::uint32_t(v[off]) | std::uint32_t(v[off + 1]) << 8 |
          std::uint32_t(v[off + 2]) << 16 | std::uint32_t(v[off + 3]) << 24;
 }
@@ -77,11 +76,7 @@ class PendingScanProgram : public trio::PpeProgram {
   }
 
   trio::Action step(trio::ThreadContext& ctx) override {
-    if (!pending_.empty()) {
-      trio::Action a = std::move(pending_.front());
-      pending_.pop_front();
-      return a;
-    }
+    if (!pending_.empty()) return pending_.pop_front();
     return do_step(ctx);
   }
 
@@ -99,7 +94,7 @@ class PendingScanProgram : public trio::PpeProgram {
             slot_ = 0;
             continue;
           }
-          const std::size_t slots = svc->arrived_snapshot.size();
+          const std::size_t slots = svc->slot_snapshots.size();
           if (slot_ >= slots) {
             ++ti_;
             slot_ = 0;
@@ -125,17 +120,19 @@ class PendingScanProgram : public trio::PpeProgram {
         }
         owner_ = le64(ctx.reply.data, 0);
         arrived_ = le32(ctx.reply.data, 8);
-        std::uint32_t& snap = svc->arrived_snapshot[slot_];
+        NetRpcApp::Service::SlotSnapshot& snap = svc->slot_snapshots[slot_];
         state_ = State::kNextSlot;
         if (arrived_ == 0 || (owner_ & 1) != 0) {
           // Idle, or a done-marked slot mid-reset (the completing
           // thread's posted writes race this read): nothing to age.
-          snap = 0;
+          snap = {};
           ++slot_;
           return trio::ActContinue{1};
         }
-        if (arrived_ != snap) {  // still making progress; note and move on
-          snap = arrived_;
+        if (arrived_ != snap.arrived || owner_ != snap.owner) {
+          // Still making progress, or another call took the slot since
+          // the last pass: note and move on.
+          snap = {owner_, arrived_};
           ++slot_;
           return trio::ActContinue{1};
         }
@@ -144,7 +141,7 @@ class PendingScanProgram : public trio::PpeProgram {
           // happen — the datapath resets on completion); reclaim.
           queue_reset(*svc);
           ++app_.stats().pending_reset;
-          snap = 0;
+          snap = {};
           ++slot_;
           return trio::ActContinue{1};
         }
@@ -206,7 +203,7 @@ class PendingScanProgram : public trio::PpeProgram {
         pending_.push_back(emit);
 
         ++app_.stats().degraded_emitted;
-        svc->arrived_snapshot[slot_] = 0;
+        svc->slot_snapshots[slot_] = {};
         ++slot_;
         state_ = State::kNextSlot;
         // The meta/merge reads and frame build: charged as one composite
@@ -239,7 +236,7 @@ class PendingScanProgram : public trio::PpeProgram {
     trio::ActAsyncXtxn buf;
     buf.req.op = trio::XtxnOp::kWrite;
     buf.req.addr = slot_addr + kPendingMergeOff;
-    buf.req.data = merge_preset_bytes(svc.config);
+    buf.req.data.assign(merge_preset_bytes(svc.config));
     buf.instructions = 1;
     pending_.push_back(buf);
   }
@@ -251,7 +248,7 @@ class PendingScanProgram : public trio::PpeProgram {
   State state_ = State::kNextSlot;
   std::uint64_t owner_ = 0;
   std::uint32_t arrived_ = 0;
-  std::deque<trio::Action> pending_;
+  trio::ActionQueue pending_;
 };
 
 /// Ages the hot-key cache: a check-and-clear REF scan per tenant (keys
@@ -267,11 +264,7 @@ class CacheScanProgram : public trio::PpeProgram {
   }
 
   trio::Action step(trio::ThreadContext& ctx) override {
-    if (!pending_.empty()) {
-      trio::Action a = std::move(pending_.front());
-      pending_.pop_front();
-      return a;
-    }
+    if (!pending_.empty()) return pending_.pop_front();
     return do_step(ctx);
   }
 
@@ -370,7 +363,7 @@ class CacheScanProgram : public trio::PpeProgram {
   State state_ = State::kScan;
   std::vector<std::uint64_t> aged_;
   std::size_t next_ = 0;
-  std::deque<trio::Action> pending_;
+  trio::ActionQueue pending_;
 };
 
 }  // namespace
@@ -421,8 +414,8 @@ void NetRpcApp::configure_service(const ServiceSetup& setup) {
   svc.client_ips = setup.client_ips;
   svc.service_ip = setup.service_ip;
   svc.service_mac = setup.service_mac;
-  svc.arrived_snapshot.assign(
-      std::size_t(cfg.client_cnt) * kPendingSlotsPerClient, 0);
+  svc.slot_snapshots.assign(
+      std::size_t(cfg.client_cnt) * kPendingSlotsPerClient, {});
   preset_pending_slots(svc);
   svc.program = compile_datapath(cfg, svc.layout);
   services_.emplace(cfg.tenant, std::move(svc));
@@ -431,7 +424,7 @@ void NetRpcApp::configure_service(const ServiceSetup& setup) {
 void NetRpcApp::preset_pending_slots(const Service& svc) {
   const std::vector<std::uint8_t> preset = merge_preset_bytes(svc.config);
   auto& sms = pfe_.sms();
-  for (std::size_t s = 0; s < svc.arrived_snapshot.size(); ++s) {
+  for (std::size_t s = 0; s < svc.slot_snapshots.size(); ++s) {
     sms.poke_bytes(
         svc.layout.pending_base + s * kPendingSlotBytes + kPendingMergeOff,
         preset);

@@ -118,10 +118,16 @@ class NetRpcApp {
     std::vector<net::Ipv4Addr> client_ips;
     net::Ipv4Addr service_ip;
     net::MacAddr service_mac;
-    /// Aging scan state: last observed arrived count per pending slot. A
-    /// slot that holds the same nonzero count across two passes has
-    /// stalled — its merge is completed degraded.
-    std::vector<std::uint32_t> arrived_snapshot;
+    /// Aging scan state: what the previous pass saw in each pending slot.
+    /// A slot holding the same call (owner word) at the same nonzero
+    /// count across two passes has stalled — its merge is completed
+    /// degraded. The owner tells apart two calls that reuse the slot
+    /// and happen to show the same count on consecutive passes.
+    struct SlotSnapshot {
+      std::uint64_t owner = 0;
+      std::uint32_t arrived = 0;
+    };
+    std::vector<SlotSnapshot> slot_snapshots;
   };
   const Service* service(std::uint8_t tenant) const;
   Service* service_mut(std::uint8_t tenant);

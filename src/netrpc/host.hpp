@@ -49,6 +49,10 @@ struct CallResult {
   std::uint8_t server_cnt = 0;        // replicas that contributed
   bool degraded = false;              // merged before full fan-in (aging)
   bool host_merged = false;           // no in-network merge; client reduced
+  /// The client's call_timeout fired first: the call completed locally,
+  /// degraded, with whatever replica replies had arrived — no merged
+  /// reply (in-network or host-side at full fan-in) ever came.
+  bool gave_up = false;
   sim::Duration latency;
 };
 
@@ -130,7 +134,12 @@ class RpcClient : public net::Node {
   sim::Samples& get_hit_latency_us() { return get_hit_latency_us_; }
   sim::Samples& get_miss_latency_us() { return get_miss_latency_us_; }
   sim::Samples& put_latency_us() { return put_latency_us_; }
+  /// Calls completed by a merged reply: a MERGED_RESP, or a host-side
+  /// merge at full fan-in. Give-ups are counted apart.
   std::uint64_t calls_completed() const { return calls_completed_; }
+  /// Calls the call_timeout completed locally (CallResult::gave_up).
+  std::uint64_t calls_given_up() const { return calls_given_up_; }
+  /// Degraded completions: aged merges and give-ups.
   std::uint64_t degraded_calls() const { return degraded_calls_; }
   std::uint64_t host_merged_calls() const { return host_merged_calls_; }
   std::uint64_t cached_gets() const { return cached_gets_; }
@@ -169,8 +178,7 @@ class RpcClient : public net::Node {
   /// free, or the aggregating PFE would merge two calls into each other).
   std::uint32_t alloc_call_id();
   void arm_retransmit(std::uint32_t rpc_id);
-  void host_merge(PendingCall& call, const NetRpcHeader& hdr,
-                  const net::Buffer& frame);
+  void host_merge(PendingCall& call, const net::Buffer& frame);
   std::uint8_t home_server(std::uint64_t user_key) const {
     return static_cast<std::uint8_t>(user_key % config_.server_ips.size());
   }
@@ -196,6 +204,7 @@ class RpcClient : public net::Node {
   sim::Samples get_miss_latency_us_;
   sim::Samples put_latency_us_;
   std::uint64_t calls_completed_ = 0;
+  std::uint64_t calls_given_up_ = 0;
   std::uint64_t degraded_calls_ = 0;
   std::uint64_t host_merged_calls_ = 0;
   std::uint64_t cached_gets_ = 0;

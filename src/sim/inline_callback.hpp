@@ -11,9 +11,10 @@
 //
 // The inline budgets are chosen so the engine's hot captures never
 // allocate:
-//   * event callbacks (InlineCallback): 88 bytes — enough for an
-//     XtxnCallback envelope (48 B) plus a moved-in XtxnReply (40 B), the
-//     largest closure the SMS/hash/MQSS reply path schedules;
+//   * event callbacks (InlineCallback): 88 bytes — an XtxnCallback
+//     envelope (48 B), which the SMS/hash/MQSS reply path schedules as is
+//     (the reply payload waits in the issuing thread's reply slot), fits
+//     with room to spare;
 //   * XTXN reply callbacks: 32 bytes — (this, slot, issued-time, op) from
 //     the PPE sync-XTXN path is 24 B.
 #pragma once

@@ -7,16 +7,20 @@ namespace sim {
 namespace {
 
 std::string format_ns(std::int64_t ns) {
+  const char* sign = ns < 0 ? "-" : "";
+  const std::uint64_t mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns)
+                                   : static_cast<std::uint64_t>(ns);
+  const double v = static_cast<double>(mag);
   char buf[64];
-  if (ns < 0) return "-" + format_ns(-ns);
-  if (ns < 1'000) {
-    std::snprintf(buf, sizeof(buf), "%lldns", static_cast<long long>(ns));
-  } else if (ns < 1'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.3fus", static_cast<double>(ns) / 1e3);
-  } else if (ns < 1'000'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.3fms", static_cast<double>(ns) / 1e6);
+  if (mag < 1'000) {
+    std::snprintf(buf, sizeof(buf), "%s%lluns", sign,
+                  static_cast<unsigned long long>(mag));
+  } else if (mag < 1'000'000) {
+    std::snprintf(buf, sizeof(buf), "%s%.3fus", sign, v / 1e3);
+  } else if (mag < 1'000'000'000) {
+    std::snprintf(buf, sizeof(buf), "%s%.3fms", sign, v / 1e6);
   } else {
-    std::snprintf(buf, sizeof(buf), "%.3fs", static_cast<double>(ns) / 1e9);
+    std::snprintf(buf, sizeof(buf), "%s%.3fs", sign, v / 1e9);
   }
   return buf;
 }

@@ -37,9 +37,11 @@ class HwHashTable {
   HwHashTable(sim::Simulator& simulator, const Calibration& cal,
               std::size_t buckets = 1 << 14);
 
-  /// Handles kHashLookup / kHashInsert / kHashDelete / kHashScanStep.
-  /// Returns the reply time; invokes `cb` then if non-null.
-  sim::Time issue(const XtxnRequest& req, XtxnCallback cb);
+  /// Handles kHashLookup / kHashInsert / kHashDelete / kHashScanStep,
+  /// writing the result to `reply` now. Returns the reply time; invokes
+  /// `cb` then if non-null.
+  sim::Time issue(const XtxnRequest& req, XtxnReply& reply,
+                  XtxnCallback cb = {});
 
   // Functional (zero-time) API used by the control plane and tests.
   /// `pinned` records ignore generation bumps (job records, not blocks).

@@ -41,7 +41,8 @@ sim::Time Mqss::service(std::size_t len, sim::Duration latency,
 }
 
 sim::Time Mqss::tail_read(const net::Packet& pkt, std::uint64_t offset,
-                          std::uint32_t len, XtxnCallback cb) {
+                          std::uint32_t len, XtxnReply& reply,
+                          XtxnCallback cb) {
   if (len > cal_.tail_chunk_bytes) {
     throw std::invalid_argument("Mqss::tail_read: chunk exceeds 64 bytes");
   }
@@ -51,28 +52,23 @@ sim::Time Mqss::tail_read(const net::Packet& pkt, std::uint64_t offset,
   }
   tail_bytes_read_ += len;
   tail_bytes_ctr_.inc(len);
-  XtxnReply reply;
-  const auto view = pkt.frame().view(head + offset, len);
-  reply.data.assign(view.begin(), view.end());
+  reply.reset();
+  reply.data.assign(pkt.frame().view(head + offset, len));
   const sim::Time at = service(len, cal_.tail_read_latency, "tail_read");
-  if (cb) {
-    sim_.schedule_at(at, [cb = std::move(cb), reply = std::move(reply)]() mutable {
-      cb(std::move(reply));
-    });
-  }
+  if (cb) sim_.schedule_at(at, std::move(cb));
   return at;
 }
 
-sim::Time Mqss::pmem_write(std::size_t len, XtxnCallback cb) {
+sim::Time Mqss::pmem_write(std::size_t len, XtxnReply& reply,
+                           XtxnCallback cb) {
   if (len > cal_.pmem_chunk_bytes) {
     throw std::invalid_argument("Mqss::pmem_write: chunk exceeds 256 bytes");
   }
   pmem_bytes_written_ += len;
   pmem_bytes_ctr_.inc(len);
+  reply.reset();
   const sim::Time at = service(len, cal_.pmem_write_latency, "pmem_write");
-  if (cb) {
-    sim_.schedule_at(at, [cb = std::move(cb)]() mutable { cb(XtxnReply{}); });
-  }
+  if (cb) sim_.schedule_at(at, std::move(cb));
   return at;
 }
 
@@ -338,7 +334,7 @@ bool Pfe::spawn_internal(std::unique_ptr<PpeProgram> program,
 }
 
 sim::Time Pfe::issue_xtxn(const XtxnRequest& req, const net::PacketPtr& pkt,
-                          XtxnCallback cb) {
+                          XtxnReply& reply, XtxnCallback cb) {
   if (tracer_ != nullptr) {
     // Every XTXN crosses the PPE<->memory crossbar on its way to a block.
     tracer_->instant(trace_pid_, trace_rows::kCrossbar, xtxn_op_name(req.op),
@@ -349,16 +345,16 @@ sim::Time Pfe::issue_xtxn(const XtxnRequest& req, const net::PacketPtr& pkt,
     case XtxnOp::kHashInsert:
     case XtxnOp::kHashDelete:
     case XtxnOp::kHashScanStep:
-      return hash_.issue(req, std::move(cb));
+      return hash_.issue(req, reply, std::move(cb));
     case XtxnOp::kTailRead:
       if (!pkt) {
         throw std::logic_error("kTailRead issued by a packet-less thread");
       }
-      return mqss_.tail_read(*pkt, req.addr, req.len, std::move(cb));
+      return mqss_.tail_read(*pkt, req.addr, req.len, reply, std::move(cb));
     case XtxnOp::kPmemWrite:
-      return mqss_.pmem_write(req.data.size(), std::move(cb));
+      return mqss_.pmem_write(req.len, reply, std::move(cb));
     default:
-      return sms_.issue(req, std::move(cb));
+      return sms_.issue(req, reply, std::move(cb));
   }
 }
 

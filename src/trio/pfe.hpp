@@ -34,13 +34,16 @@ class Mqss {
  public:
   Mqss(sim::Simulator& simulator, const Calibration& cal);
 
-  /// Read `len` bytes at `offset` within the packet's tail.
+  /// Read `len` bytes at `offset` within the packet's tail into
+  /// `reply.data`; `cb` (optional) fires at the reply time.
   sim::Time tail_read(const net::Packet& pkt, std::uint64_t offset,
-                      std::uint32_t len, XtxnCallback cb);
+                      std::uint32_t len, XtxnReply& reply,
+                      XtxnCallback cb = {});
 
   /// Timed write of a chunk of a new packet's tail (the data itself stays
-  /// with the emitting program).
-  sim::Time pmem_write(std::size_t len, XtxnCallback cb);
+  /// with the emitting program). The reply carries no payload.
+  sim::Time pmem_write(std::size_t len, XtxnReply& reply,
+                       XtxnCallback cb = {});
 
   std::uint64_t tail_bytes_read() const { return tail_bytes_read_; }
   std::uint64_t pmem_bytes_written() const { return pmem_bytes_written_; }
@@ -160,10 +163,11 @@ class Pfe {
                       std::uint32_t timer_index);
 
   /// Routes an XTXN to its target block (SMS, hash, MQSS). `pkt` supplies
-  /// the tail for kTailRead. Returns the reply time; `cb` (optional) runs
-  /// then.
+  /// the tail for kTailRead. The block writes its result to `reply` now,
+  /// in arrival order; the issuer must not read it before the returned
+  /// reply time, when `cb` (optional) runs.
   sim::Time issue_xtxn(const XtxnRequest& req, const net::PacketPtr& pkt,
-                       XtxnCallback cb);
+                       XtxnReply& reply, XtxnCallback cb);
 
   /// Called by PPE threads: attach an output to a reorder ticket, or send
   /// directly when the thread has no ticket (internally generated packet).

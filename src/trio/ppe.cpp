@@ -50,7 +50,7 @@ bool Ppe::spawn(std::unique_ptr<PpeProgram> program, net::PacketPtr pkt,
   std::ranges::fill(th.ctx.lmem.mutable_bytes(), 0);
   th.ctx.regs.assign(static_cast<std::size_t>(cal_.gprs_per_thread), 0);
   th.ctx.packet = std::move(pkt);
-  th.ctx.reply = XtxnReply{};
+  th.ctx.reply.reset();
   th.ctx.instructions_executed = 0;
   th.ctx.timer_index = timer_index;
   th.ctx.spawn_time = sim_.now();
@@ -115,8 +115,10 @@ void Ppe::perform(int slot, Action action, sim::Time done) {
       throw std::logic_error("Ppe: async XTXN must be a posted operation");
     }
     // Posted: apply and account bank occupancy now (the skew versus `done`
-    // is at most one step), no reply event.
-    const sim::Time reply_at = pfe_.issue_xtxn(ax->req, th.ctx.packet, {});
+    // is at most one step), no reply event. A running thread has no sync
+    // reply in flight, so its reply slot is free to take the empty reply.
+    const sim::Time reply_at =
+        pfe_.issue_xtxn(ax->req, th.ctx.packet, th.staged_reply, {});
     if (reply_at > th.async_done_at) th.async_done_at = reply_at;
     sim_.schedule_at(done, [this, slot] { advance(slot); });
   } else if (std::holds_alternative<ActJoinAsync>(action)) {
@@ -145,18 +147,20 @@ void Ppe::issue_pending_sync(int slot) {
   }
   Thread& t = threads_[static_cast<std::size_t>(slot)];
   const sim::Time issued = sim_.now();
-  const XtxnRequest req = std::move(t.pending_sync_req);
-  const XtxnOp op = req.op;
-  pfe_.issue_xtxn(req, t.ctx.packet, [this, slot, issued, op](XtxnReply reply) {
-    Thread& t2 = threads_[static_cast<std::size_t>(slot)];
-    t2.ctx.reply = std::move(reply);
-    if (tracer_ != nullptr) {
-      tracer_->complete(trace_pid_, tid_of(slot),
-                        std::string("stall:") + xtxn_op_name(op), issued,
-                        sim_.now());
-    }
-    advance(slot);
-  });
+  const XtxnOp op = t.pending_sync_req.op;
+  pfe_.issue_xtxn(
+      t.pending_sync_req, t.ctx.packet, t.staged_reply,
+      [this, slot, issued, op] {
+        Thread& t2 = threads_[static_cast<std::size_t>(slot)];
+        // Swap rather than move: both slots keep any spilled capacity.
+        std::swap(t2.ctx.reply, t2.staged_reply);
+        if (tracer_ != nullptr) {
+          tracer_->complete(trace_pid_, tid_of(slot),
+                            std::string("stall:") + xtxn_op_name(op), issued,
+                            sim_.now());
+        }
+        advance(slot);
+      });
 }
 
 void Ppe::finish(int slot) {

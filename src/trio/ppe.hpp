@@ -65,6 +65,10 @@ class Ppe {
     // Sync-XTXN request parked between the action and its issue time, so
     // the scheduled closure stays within the inline-callback budget.
     XtxnRequest pending_sync_req;
+    // Reply slot the target block writes at issue time. It moves into
+    // ctx.reply only when the reply event fires, so the program sees the
+    // reply at reply time, and the reply closure captures no payload.
+    XtxnReply staged_reply;
     bool active = false;
   };
 

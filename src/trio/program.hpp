@@ -81,6 +81,28 @@ inline std::uint32_t action_instructions(const Action& a) {
   return std::visit([](const auto& x) { return x.instructions; }, a);
 }
 
+/// FIFO of actions a program has queued for its next steps. One vector
+/// that rewinds once drained: a program that queues in bursts reuses the
+/// same storage instead of allocating a node per burst.
+class ActionQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  void reserve(std::size_t n) { items_.reserve(n); }
+  void push_back(Action a) { items_.push_back(std::move(a)); }
+  Action pop_front() {
+    Action a = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    }
+    return a;
+  }
+
+ private:
+  std::vector<Action> items_;
+  std::size_t head_ = 0;
+};
+
 class PpeProgram {
  public:
   virtual ~PpeProgram() = default;

@@ -1,5 +1,7 @@
 #include "trio/sms.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -10,10 +12,26 @@ namespace trio {
 
 namespace {
 
-std::uint64_t load_le(const std::uint8_t* p, int n) {
-  std::uint64_t v = 0;
-  for (int i = n - 1; i >= 0; --i) v = v << 8 | p[i];
+template <typename T>
+T load_le(const std::uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (int i = sizeof(T) - 1; i >= 0; --i) v = static_cast<T>(v << 8 | p[i]);
+  }
   return v;
+}
+
+template <typename T>
+void store_le(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
 }
 
 // Policer record layout (32 bytes, little-endian u64s):
@@ -31,6 +49,10 @@ SharedMemorySystem::SharedMemorySystem(sim::Simulator& simulator,
   dram_cache_tags_.assign(cal_.dram_cache_bytes / cal_.bank_interleave,
                           ~0ull);
   dram_brk_ = dram_base() + 64;
+  const std::uint64_t pages =
+      (dram_base() + cal_.dram_bytes + kPageBytes - 1) / kPageBytes;
+  leaves_.resize(static_cast<std::size_t>((pages + kPagesPerLeaf - 1) /
+                                          kPagesPerLeaf));
 }
 
 void SharedMemorySystem::instrument(telemetry::Telemetry& telem, int pid,
@@ -56,16 +78,28 @@ void SharedMemorySystem::instrument(telemetry::Telemetry& telem, int pid,
   }
 }
 
-std::vector<std::uint8_t>& SharedMemorySystem::page(std::uint64_t addr) {
-  auto& p = pages_[addr / kPageBytes];
-  if (p.empty()) p.assign(kPageBytes, 0);
-  return p;
+std::uint8_t* SharedMemorySystem::page(std::uint64_t addr) {
+  const std::uint64_t pn = addr / kPageBytes;
+  std::unique_ptr<Leaf>& leaf = leaves_[pn / kPagesPerLeaf];
+  if (!leaf) leaf = std::make_unique<Leaf>();
+  std::unique_ptr<Page>& pg = (*leaf)[pn % kPagesPerLeaf];
+  if (!pg) pg = std::make_unique<Page>();  // value-initialised: zeroes
+  return pg->data();
 }
 
-const std::vector<std::uint8_t>* SharedMemorySystem::page_if_present(
-    std::uint64_t addr) const {
-  auto it = pages_.find(addr / kPageBytes);
-  return it == pages_.end() ? nullptr : &it->second;
+std::uint8_t* SharedMemorySystem::page_if_present(std::uint64_t addr) const {
+  const std::uint64_t pn = addr / kPageBytes;
+  if (pn / kPagesPerLeaf >= leaves_.size()) return nullptr;
+  const std::unique_ptr<Leaf>& leaf = leaves_[pn / kPagesPerLeaf];
+  if (!leaf) return nullptr;
+  const std::unique_ptr<Page>& pg = (*leaf)[pn % kPagesPerLeaf];
+  return pg ? pg->data() : nullptr;
+}
+
+std::uint8_t* SharedMemorySystem::span_in_page(std::uint64_t addr,
+                                               std::size_t len) {
+  const std::size_t off = addr % kPageBytes;
+  return off + len <= kPageBytes ? page(addr) + off : nullptr;
 }
 
 void SharedMemorySystem::check_addr(std::uint64_t addr,
@@ -79,24 +113,42 @@ void SharedMemorySystem::check_addr(std::uint64_t addr,
 }
 
 std::uint8_t SharedMemorySystem::peek_u8(std::uint64_t addr) const {
-  const auto* p = page_if_present(addr);
-  return p ? (*p)[addr % kPageBytes] : 0;
+  const std::uint8_t* p = page_if_present(addr);
+  return p ? p[addr % kPageBytes] : 0;
+}
+
+template <typename T>
+T SharedMemorySystem::peek_word(std::uint64_t addr) const {
+  const std::size_t off = addr % kPageBytes;
+  if (off + sizeof(T) <= kPageBytes) {
+    const std::uint8_t* p = page_if_present(addr);
+    return p ? load_le<T>(p + off) : 0;
+  }
+  T v = 0;  // straddles two pages
+  for (int i = sizeof(T) - 1; i >= 0; --i) {
+    v = static_cast<T>(v << 8 | peek_u8(addr + static_cast<std::uint64_t>(i)));
+  }
+  return v;
+}
+
+template <typename T>
+void SharedMemorySystem::poke_word(std::uint64_t addr, T v) {
+  check_addr(addr, sizeof(T));
+  if (std::uint8_t* p = span_in_page(addr, sizeof(T))) {
+    store_le(p, v);
+    return;
+  }
+  for (std::size_t i = 0; i < sizeof(T); ++i) {  // straddles two pages
+    poke_u8(addr + i, static_cast<std::uint8_t>(v >> (8 * i)));
+  }
 }
 
 std::uint32_t SharedMemorySystem::peek_u32(std::uint64_t addr) const {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = v << 8 | peek_u8(addr + static_cast<std::uint64_t>(i));
-  }
-  return v;
+  return peek_word<std::uint32_t>(addr);
 }
 
 std::uint64_t SharedMemorySystem::peek_u64(std::uint64_t addr) const {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = v << 8 | peek_u8(addr + static_cast<std::uint64_t>(i));
-  }
-  return v;
+  return peek_word<std::uint64_t>(addr);
 }
 
 void SharedMemorySystem::poke_u8(std::uint64_t addr, std::uint8_t v) {
@@ -105,29 +157,79 @@ void SharedMemorySystem::poke_u8(std::uint64_t addr, std::uint8_t v) {
 }
 
 void SharedMemorySystem::poke_u32(std::uint64_t addr, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    poke_u8(addr + static_cast<std::uint64_t>(i),
-            static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  poke_word(addr, v);
 }
 
 void SharedMemorySystem::poke_u64(std::uint64_t addr, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    poke_u8(addr + static_cast<std::uint64_t>(i),
-            static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  poke_word(addr, v);
 }
 
 void SharedMemorySystem::poke_bytes(std::uint64_t addr,
-                                    const std::vector<std::uint8_t>& data) {
-  for (std::size_t i = 0; i < data.size(); ++i) poke_u8(addr + i, data[i]);
+                                    std::span<const std::uint8_t> data) {
+  check_addr(addr, data.size());
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const std::uint64_t a = addr + done;
+    const std::size_t n =
+        std::min(data.size() - done, kPageBytes - a % kPageBytes);
+    std::memcpy(page(a) + a % kPageBytes, data.data() + done, n);
+    done += n;
+  }
+}
+
+void SharedMemorySystem::read_bytes(std::uint64_t addr, std::uint8_t* out,
+                                    std::size_t len) const {
+  std::size_t done = 0;
+  while (done < len) {
+    const std::uint64_t a = addr + done;
+    const std::size_t n = std::min(len - done, kPageBytes - a % kPageBytes);
+    if (const std::uint8_t* p = page_if_present(a)) {
+      std::memcpy(out + done, p + a % kPageBytes, n);
+    } else {
+      std::memset(out + done, 0, n);
+    }
+    done += n;
+  }
 }
 
 std::vector<std::uint8_t> SharedMemorySystem::peek_bytes(
     std::uint64_t addr, std::size_t len) const {
   std::vector<std::uint8_t> out(len);
-  for (std::size_t i = 0; i < len; ++i) out[i] = peek_u8(addr + i);
+  read_bytes(addr, out.data(), len);
   return out;
+}
+
+void SharedMemorySystem::clear(std::uint64_t addr, std::size_t len) {
+  check_addr(addr, len);
+  std::size_t done = 0;
+  while (done < len) {
+    const std::uint64_t a = addr + done;
+    const std::size_t n = std::min(len - done, kPageBytes - a % kPageBytes);
+    if (std::uint8_t* p = page_if_present(a)) {
+      std::memset(p + a % kPageBytes, 0, n);
+    }
+    done += n;
+  }
+}
+
+template <typename Fn>
+void SharedMemorySystem::rmw_words32(std::uint64_t addr, std::size_t n,
+                                     Fn&& fn) {
+  if (n == 0) return;
+  if (std::uint8_t* p = span_in_page(addr, n * 4)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint32_t w = load_le<std::uint32_t>(p + i * 4);
+      fn(w, i);
+      store_le(p + i * 4, w);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {  // the slice straddles a page
+    const std::uint64_t a = addr + i * 4;
+    std::uint32_t w = peek_u32(a);
+    fn(w, i);
+    poke_u32(a, w);
+  }
 }
 
 void SharedMemorySystem::configure_policer(std::uint64_t addr,
@@ -240,14 +342,13 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
   switch (req.op) {
     case XtxnOp::kRead: {
       check_addr(req.addr, req.len);
-      reply.data = peek_bytes(req.addr, req.len);
+      reply.data.resize(req.len);
+      read_bytes(req.addr, reply.data.data(), req.len);
       break;
     }
-    case XtxnOp::kWrite: {
-      check_addr(req.addr, req.data.size());
+    case XtxnOp::kWrite:
       poke_bytes(req.addr, req.data);
       break;
-    }
     case XtxnOp::kCounterInc: {
       // 16-byte Packet/Byte counter (Fig 6): packets += 1, bytes += arg0.
       check_addr(req.addr, 16);
@@ -317,12 +418,10 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
       // the heart of Trio-ML's in-network aggregation (§6.3).
       check_addr(req.addr, req.data.size());
       const std::size_t n = req.data.size() / 4;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t a = req.addr + i * 4;
-        const std::uint32_t addend = static_cast<std::uint32_t>(
-            load_le(req.data.data() + i * 4, 4));
-        poke_u32(a, peek_u32(a) + addend);
-      }
+      const std::uint8_t* in = req.data.data();
+      rmw_words32(req.addr, n, [in](std::uint32_t& w, std::size_t i) {
+        w += load_le<std::uint32_t>(in + i * 4);
+      });
       add32_ops_ += n;
       break;
     }
@@ -331,12 +430,10 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
       // second RMW merge mode, used by netrpc's `min` response policy.
       check_addr(req.addr, req.data.size());
       const std::size_t n = req.data.size() / 4;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t a = req.addr + i * 4;
-        const std::uint32_t incoming = static_cast<std::uint32_t>(
-            load_le(req.data.data() + i * 4, 4));
-        if (incoming < peek_u32(a)) poke_u32(a, incoming);
-      }
+      const std::uint8_t* in = req.data.data();
+      rmw_words32(req.addr, n, [in](std::uint32_t& w, std::size_t i) {
+        w = std::min(w, load_le<std::uint32_t>(in + i * 4));
+      });
       add32_ops_ += n;
       break;
     }
@@ -346,22 +443,39 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
       // addr[len .. 2*len), so the candidate plane is a plain packed
       // u32 vector a single kRead can fetch as the merged result —
       // netrpc's `majority` response policy.
-      check_addr(req.addr, req.data.size() * 2);
-      const std::size_t n = req.data.size() / 4;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t a = req.addr + i * 4;
-        const std::uint64_t c = req.addr + req.data.size() + i * 4;
-        const std::uint32_t incoming = static_cast<std::uint32_t>(
-            load_le(req.data.data() + i * 4, 4));
-        const std::uint32_t candidate = peek_u32(a);
-        const std::uint32_t count = peek_u32(c);
+      const std::size_t len = req.data.size();
+      check_addr(req.addr, len * 2);
+      const std::size_t n = len / 4;
+      const std::uint8_t* in = req.data.data();
+      const auto vote = [](std::uint32_t incoming, std::uint32_t& candidate,
+                           std::uint32_t& count) {
         if (count == 0) {
-          poke_u32(a, incoming);
-          poke_u32(c, 1);
+          candidate = incoming;
+          count = 1;
         } else if (candidate == incoming) {
-          poke_u32(c, count + 1);
+          ++count;
         } else {
-          poke_u32(c, count - 1);
+          --count;
+        }
+      };
+      std::uint8_t* cands = n == 0 ? nullptr : span_in_page(req.addr, len);
+      std::uint8_t* counts =
+          cands == nullptr ? nullptr : span_in_page(req.addr + len, len);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t incoming = load_le<std::uint32_t>(in + i * 4);
+        if (counts != nullptr) {
+          std::uint32_t candidate = load_le<std::uint32_t>(cands + i * 4);
+          std::uint32_t count = load_le<std::uint32_t>(counts + i * 4);
+          vote(incoming, candidate, count);
+          store_le(cands + i * 4, candidate);
+          store_le(counts + i * 4, count);
+        } else {  // a plane straddles a page
+          const std::uint64_t a = req.addr + i * 4;
+          std::uint32_t candidate = peek_u32(a);
+          std::uint32_t count = peek_u32(a + len);
+          vote(incoming, candidate, count);
+          poke_u32(a, candidate);
+          poke_u32(a + len, count);
         }
       }
       add32_ops_ += n;
@@ -372,10 +486,11 @@ void SharedMemorySystem::apply(const XtxnRequest& req, XtxnReply& reply) {
   }
 }
 
-sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnCallback cb) {
+sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnReply& reply,
+                                    XtxnCallback cb) {
   ++ops_;
   ops_ctr_.inc();
-  XtxnReply reply;
+  reply.reset();
   apply(req, reply);
 
   const int bank_idx = bank_of(req.addr);
@@ -408,12 +523,7 @@ sim::Time SharedMemorySystem::issue(const XtxnRequest& req, XtxnCallback cb) {
   const std::size_t touched =
       req.len != 0 ? req.len : (req.data.empty() ? 8 : req.data.size());
   const sim::Time reply_at = bank.free_at + tier_latency(req.addr, touched);
-  if (cb) {
-    sim_.schedule_at(reply_at,
-                     [cb = std::move(cb), reply = std::move(reply)]() mutable {
-                       cb(std::move(reply));
-                     });
-  }
+  if (cb) sim_.schedule_at(reply_at, std::move(cb));
   return reply_at;
 }
 

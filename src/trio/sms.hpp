@@ -17,9 +17,21 @@
 // so queueing delay (backpressure through the crossbar) emerges when a
 // bank is oversubscribed. Posted operations (writes, counter increments,
 // vector adds) need no reply event at all, keeping the event count low.
+//
+// Backing store: the address space is cut into fixed 4 KiB pages, found
+// through a two-level page directory (1024 pages per leaf). A page and
+// its leaf are allocated, zero-filled, on the first write that touches
+// them; reads and clear() of untouched memory never allocate, so the
+// 4 GiB DRAM range costs one directory of leaf pointers until it is
+// used. Word accesses resolve their page once and load or store the
+// word in place; only a word that straddles two pages takes the byte
+// path.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,9 +55,11 @@ class SharedMemorySystem {
   SharedMemorySystem(sim::Simulator& simulator, const Calibration& cal);
 
   /// Issues a request arriving at the SMS now. The state change is applied
-  /// immediately (arrival order == engine order); `cb`, if non-null, fires
-  /// at the computed reply time. Returns the reply time.
-  sim::Time issue(const XtxnRequest& req, XtxnCallback cb);
+  /// immediately (arrival order == engine order) and its result written
+  /// to `reply`; `cb`, if non-null, fires at the computed reply time, when
+  /// the issuer may look at `reply`. Returns the reply time.
+  sim::Time issue(const XtxnRequest& req, XtxnReply& reply,
+                  XtxnCallback cb = {});
 
   // --- Direct (zero-time) access for control-plane setup and tests -------
   std::uint8_t peek_u8(std::uint64_t addr) const;
@@ -54,9 +68,16 @@ class SharedMemorySystem {
   void poke_u8(std::uint64_t addr, std::uint8_t v);
   void poke_u32(std::uint64_t addr, std::uint32_t v);
   void poke_u64(std::uint64_t addr, std::uint64_t v);
-  void poke_bytes(std::uint64_t addr, const std::vector<std::uint8_t>& data);
+  void poke_bytes(std::uint64_t addr, std::span<const std::uint8_t> data);
   std::vector<std::uint8_t> peek_bytes(std::uint64_t addr,
                                        std::size_t len) const;
+  /// Zeroes [addr, addr + len). Only pages that were already written are
+  /// touched: a never-written page reads as zero and stays unallocated.
+  void clear(std::uint64_t addr, std::size_t len);
+  /// True when the page holding `addr` has been allocated (tests).
+  bool page_resident(std::uint64_t addr) const {
+    return page_if_present(addr) != nullptr;
+  }
 
   /// Initialises a policer record at `addr` (32 bytes).
   void configure_policer(std::uint64_t addr, const PolicerConfig& config);
@@ -129,10 +150,33 @@ class SharedMemorySystem {
   void apply(const XtxnRequest& req, XtxnReply& reply);
   void check_addr(std::uint64_t addr, std::size_t len) const;
 
-  // Sparse backing store: 4 KiB pages allocated on first touch.
+  // Page directory (see the file comment).
   static constexpr std::size_t kPageBytes = 4096;
-  std::vector<std::uint8_t>& page(std::uint64_t addr);
-  const std::vector<std::uint8_t>* page_if_present(std::uint64_t addr) const;
+  static constexpr std::size_t kPagesPerLeaf = 1024;
+  using Page = std::array<std::uint8_t, kPageBytes>;
+  using Leaf = std::array<std::unique_ptr<Page>, kPagesPerLeaf>;
+  /// The page holding `addr`, allocated if absent; the caller has checked
+  /// the address with check_addr().
+  std::uint8_t* page(std::uint64_t addr);
+  /// The page holding `addr`, or null if it was never written or lies
+  /// outside the address space. Never allocates.
+  std::uint8_t* page_if_present(std::uint64_t addr) const;
+  /// Pointer to [addr, addr + len) when it lies within one page
+  /// (allocating the page), else null.
+  std::uint8_t* span_in_page(std::uint64_t addr, std::size_t len);
+  /// Little-endian word access; a word that straddles two pages takes
+  /// the byte path.
+  template <typename T>
+  T peek_word(std::uint64_t addr) const;
+  template <typename T>
+  void poke_word(std::uint64_t addr, T v);
+  /// Copies [addr, addr + len) to `out`; unwritten pages read as zero.
+  void read_bytes(std::uint64_t addr, std::uint8_t* out,
+                  std::size_t len) const;
+  /// Applies fn(word, i) in place to the n packed u32 words at `addr`,
+  /// resolving the page once when the words share one.
+  template <typename Fn>
+  void rmw_words32(std::uint64_t addr, std::size_t n, Fn&& fn);
 
   struct TenantAccount {
     std::uint64_t quota = ~0ull;  // unlimited until set
@@ -142,7 +186,7 @@ class SharedMemorySystem {
   sim::Simulator& sim_;
   Calibration cal_;
   std::vector<Bank> banks_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> pages_;
+  std::vector<std::unique_ptr<Leaf>> leaves_;
   std::unordered_map<std::uint8_t, TenantAccount> tenant_accounts_;
 
   // Direct-mapped model of the off-chip DRAM's on-chip cache: line address

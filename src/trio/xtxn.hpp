@@ -5,7 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <cstring>
+#include <initializer_list>
+#include <memory>
+#include <span>
 
 #include "sim/inline_callback.hpp"
 
@@ -38,7 +41,8 @@ enum class XtxnOp : std::uint8_t {
                   // REF over one partition slice; reply data = aged keys
   // Memory & Queueing Subsystem.
   kTailRead,      // addr = offset into this thread's packet tail, len <= 64
-  kPmemWrite,     // append chunk to the tail under construction; data
+  kPmemWrite,     // len = bytes appended to the tail under construction
+                  // (the bytes themselves stay with the emitting program)
 };
 
 /// True for ops whose reply carries no payload the issuing program needs,
@@ -85,24 +89,121 @@ constexpr const char* xtxn_op_name(XtxnOp op) {
   return "unknown";
 }
 
+/// An XTXN payload. Up to 64 bytes -- one bank-interleave granule, which
+/// covers every add slice, record write and tail chunk the datapath
+/// issues -- live inline, so building a request or reply does not touch
+/// the allocator. A larger payload spills to one heap block, whose
+/// capacity the buffer then keeps for reuse.
+class XtxnBytes {
+ public:
+  static constexpr std::size_t kInlineBytes = 64;
+
+  XtxnBytes() = default;
+  XtxnBytes(const XtxnBytes& other) { assign(other); }
+  XtxnBytes(XtxnBytes&& other) noexcept { take(other); }
+  XtxnBytes& operator=(const XtxnBytes& other) {
+    if (this != &other) assign(other);
+    return *this;
+  }
+  XtxnBytes& operator=(XtxnBytes&& other) noexcept {
+    if (this != &other) {
+      heap_.reset();
+      take(other);
+    }
+    return *this;
+  }
+  XtxnBytes& operator=(std::initializer_list<std::uint8_t> init) {
+    assign(std::span<const std::uint8_t>(init.begin(), init.size()));
+    return *this;
+  }
+
+  std::uint8_t* data() { return heap_ ? heap_.get() : inline_; }
+  const std::uint8_t* data() const { return heap_ ? heap_.get() : inline_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::uint8_t* begin() { return data(); }
+  std::uint8_t* end() { return data() + size_; }
+  const std::uint8_t* begin() const { return data(); }
+  const std::uint8_t* end() const { return data() + size_; }
+  std::uint8_t& operator[](std::size_t i) { return data()[i]; }
+  std::uint8_t operator[](std::size_t i) const { return data()[i]; }
+
+  void clear() { size_ = 0; }
+  void assign(std::span<const std::uint8_t> src) {
+    // A source longer than the capacity cannot lie inside this buffer, so
+    // growing first never frees it; a shorter one may, hence memmove.
+    if (src.size() > capacity_) grow(src.size(), 0);
+    if (!src.empty()) std::memmove(data(), src.data(), src.size());
+    size_ = src.size();
+  }
+  void assign(std::size_t n, std::uint8_t value) {
+    size_ = 0;
+    resize(n, value);
+  }
+  void resize(std::size_t n, std::uint8_t fill = 0) {
+    if (n > capacity_) grow(n, size_);
+    if (n > size_) std::memset(data() + size_, fill, n - size_);
+    size_ = n;
+  }
+
+  friend bool operator==(const XtxnBytes& a, const XtxnBytes& b) {
+    return a.size_ == b.size_ &&
+           (a.size_ == 0 || std::memcmp(a.data(), b.data(), a.size_) == 0);
+  }
+
+ private:
+  /// Moves to a heap block of n bytes, keeping the first `keep` bytes.
+  void grow(std::size_t n, std::size_t keep) {
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(n);
+    if (keep != 0) std::memcpy(grown.get(), data(), keep);
+    heap_ = std::move(grown);
+    capacity_ = n;
+  }
+  void take(XtxnBytes& other) noexcept {
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    if (other.heap_) {
+      heap_ = std::move(other.heap_);
+    } else if (size_ != 0) {
+      std::memcpy(inline_, other.inline_, size_);
+    }
+    other.size_ = 0;
+    other.capacity_ = kInlineBytes;
+  }
+
+  std::unique_ptr<std::uint8_t[]> heap_;  // null while the bytes fit inline
+  std::size_t size_ = 0;
+  std::size_t capacity_ = kInlineBytes;
+  std::uint8_t inline_[kInlineBytes];
+};
+
 struct XtxnRequest {
   XtxnOp op{};
   std::uint64_t addr = 0;
   std::uint64_t arg0 = 0;
   std::uint64_t arg1 = 0;
   std::uint32_t len = 0;
-  std::vector<std::uint8_t> data;
+  XtxnBytes data;
 };
 
 struct XtxnReply {
   bool ok = true;
   std::uint64_t value = 0;
-  std::vector<std::uint8_t> data;
+  XtxnBytes data;
+
+  /// Back to a fresh reply, keeping any spilled payload capacity.
+  void reset() {
+    ok = true;
+    value = 0;
+    data.clear();
+  }
 };
 
-// Move-only with 32 bytes of inline storage: the engine's reply closures
-// (this, slot, issue-time, op) fit without touching the allocator; larger
-// captures from tests or applications fall back to one heap cell.
-using XtxnCallback = sim::InlineFunction<void(XtxnReply), 32>;
+// Engines apply a request in arrival order, so they fill the issuer's
+// reply slot at issue time and fire this callback at the reply time. It
+// captures only the issuer's (this, slot, issue-time, op) -- 24 bytes --
+// and fits the 32-byte inline budget; larger captures from tests or
+// applications fall back to one heap cell.
+using XtxnCallback = sim::InlineFunction<void(), 32>;
 
 }  // namespace trio

@@ -8,7 +8,7 @@ namespace trioml {
 
 namespace {
 
-std::uint32_t le32(const std::vector<std::uint8_t>& v, std::size_t off) {
+std::uint32_t le32(std::span<const std::uint8_t> v, std::size_t off) {
   return std::uint32_t(v[off]) | std::uint32_t(v[off + 1]) << 8 |
          std::uint32_t(v[off + 2]) << 16 | std::uint32_t(v[off + 3]) << 24;
 }
@@ -41,23 +41,21 @@ trio::ProgramFactory make_aggregation_factory(TrioMlApp& app) {
   };
 }
 
+AggregationProgram::AggregationProgram(TrioMlApp& app) : app_(app) {
+  // Sized up front so steps never grow them: the deepest burst of queued
+  // actions is the head's add slices (3 with the 192-byte head), and the
+  // carry buffer holds one tail chunk plus up to 3 straddling bytes.
+  pending_.reserve(4);
+  carry_.reserve(app.pfe().cal().tail_chunk_bytes + 3);
+}
+
 // Queue discipline: synchronous actions are only ever queued as the LAST
 // element of pending_, so when a sync reply re-enters step() the queue is
 // empty and do_step() handles the reply for the current state.
 
 trio::Action AggregationProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) {
-    trio::Action a = std::move(pending_.front());
-    pending_.pop_front();
-    return a;
-  }
+  if (!pending_.empty()) return pending_.pop_front();
   return do_step(ctx);
-}
-
-trio::Action AggregationProgram::pop_pending() {
-  trio::Action a = std::move(pending_.front());
-  pending_.pop_front();
-  return a;
 }
 
 trio::Action AggregationProgram::finish(trio::ThreadContext& ctx,
@@ -88,8 +86,7 @@ void AggregationProgram::queue_add_slices(std::size_t grad_byte_off,
     trio::ActAsyncXtxn add;
     add.req.op = trio::XtxnOp::kAddVec32;
     add.req.addr = addr;
-    add.req.data.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                        data.begin() + static_cast<std::ptrdiff_t>(off + len));
+    add.req.data.assign(data.subspan(off, len));
     add.instructions = first ? instructions : 1;
     first = false;
     pending_.push_back(std::move(add));
@@ -148,7 +145,7 @@ trio::Action AggregationProgram::begin_aggregation(trio::ThreadContext& ctx) {
 trio::Action AggregationProgram::next_tail_action(trio::ThreadContext&) {
   if (!pending_.empty()) {
     state_ = State::kAggregate;
-    return pop_pending();
+    return pending_.pop_front();
   }
   if (tail_off_ < tail_total_) {
     // Phase two: read the next 64-byte chunk of the tail into LMEM.
@@ -283,7 +280,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         pending_.push_back(std::move(giveback));
         ++app_.stats().blocks_capped;
         state_ = State::kFinish;
-        return pop_pending();
+        return pending_.pop_front();
       }
       auto slab = app_.alloc_slab();
       if (!slab) {
@@ -305,10 +302,10 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
           lu.instructions = 2;
           pending_.push_back(std::move(lu));
           state_ = State::kRetryLookup;
-          return pop_pending();
+          return pending_.pop_front();
         }
         state_ = State::kFinish;
-        return pop_pending();
+        return pending_.pop_front();
       }
       record_addr_ = slab->record_addr;
 
@@ -320,13 +317,12 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       record_.aggr_paddr = static_cast<std::uint32_t>(slab->buffer_addr);
       record_.grad_cnt = hdr_.grad_cnt & 0xfff;
 
-      auto bytes = record_.pack();
-      bytes.resize(kBlockSlabBytes, 0);
-      bytes[63] = job_.src_cnt;  // scratch: expected contributor count
       trio::ActAsyncXtxn wr;
       wr.req.op = trio::XtxnOp::kWrite;
       wr.req.addr = record_addr_;
-      wr.req.data = std::move(bytes);
+      wr.req.data.assign(record_.pack());
+      wr.req.data.resize(kBlockSlabBytes, 0);
+      wr.req.data[63] = job_.src_cnt;  // scratch: expected contributor count
       wr.instructions = 12;
       pending_.push_back(std::move(wr));
 
@@ -337,7 +333,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       ins.instructions = 4;
       pending_.push_back(std::move(ins));
       state_ = State::kInsert;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kInsert: {
@@ -359,7 +355,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         lu.instructions = 2;
         pending_.push_back(std::move(lu));
         state_ = State::kBlockLookup;
-        return pop_pending();
+        return pending_.pop_front();
       }
       ++app_.stats().blocks_created;
       return claim_source(ctx);
@@ -419,7 +415,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       add.instructions = 2;
       pending_.push_back(std::move(add));
       state_ = State::kAccumReply;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kAccumReply: {
@@ -449,7 +445,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       // datapath fast path serves <= 64 sources (masks 1..3 stay zero).
       if (hdr_.src_id / 64 != 0 || count < job_src_cnt_) {
         state_ = State::kFinish;
-        return pop_pending();
+        return pending_.pop_front();
       }
       // Complete: atomically claim the block by deleting its hash record
       // (an aging timer thread may race us — exactly one side wins). The
@@ -462,7 +458,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       del.instructions = 3;
       pending_.push_back(std::move(del));
       state_ = State::kDeleted;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kDeleted: {
@@ -538,7 +534,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       in.final_block = hdr_.final_block;
       builder_.emplace(app_, std::move(in));
       state_ = State::kResult;
-      return pop_pending();
+      return pending_.pop_front();
     }
 
     case State::kResult: {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 
@@ -28,7 +27,7 @@ namespace trioml {
 
 class AggregationProgram : public trio::PpeProgram {
  public:
-  explicit AggregationProgram(TrioMlApp& app) : app_(app) {}
+  explicit AggregationProgram(TrioMlApp& app);
 
   trio::Action step(trio::ThreadContext& ctx) override;
 
@@ -57,7 +56,6 @@ class AggregationProgram : public trio::PpeProgram {
   };
 
   trio::Action do_step(trio::ThreadContext& ctx);
-  trio::Action pop_pending();
   trio::Action claim_source(trio::ThreadContext& ctx);
   trio::Action begin_aggregation(trio::ThreadContext& ctx);
   trio::Action next_tail_action(trio::ThreadContext& ctx);
@@ -68,7 +66,7 @@ class AggregationProgram : public trio::PpeProgram {
 
   TrioMlApp& app_;
   State state_ = State::kParse;
-  std::deque<trio::Action> pending_;
+  trio::ActionQueue pending_;
 
   TrioMlHeader hdr_;
   std::uint64_t key_ = 0;

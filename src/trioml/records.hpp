@@ -12,10 +12,9 @@
 // the datapath updates them in place with FetchOr64 RMW operations.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
-
-#include "net/buffer.hpp"
+#include <span>
 
 namespace trioml {
 
@@ -39,8 +38,9 @@ struct JobRecord {
   std::uint8_t src_cnt = 0;           // number of ML sources in the job
   std::uint64_t src_mask[4] = {0, 0, 0, 0};  // participating sources
 
-  std::vector<std::uint8_t> pack() const;
-  static JobRecord unpack(const std::vector<std::uint8_t>& bytes);
+  using Bytes = std::array<std::uint8_t, kSize>;
+  Bytes pack() const;
+  static JobRecord unpack(std::span<const std::uint8_t> bytes);
 };
 
 /// Fig 18: trio_ml_block_ctx_t, 58 bytes.
@@ -59,8 +59,9 @@ struct BlockRecord {
   std::uint8_t rcvd_cnt = 0;           // sources received so far
   std::uint64_t rcvd_mask[4] = {0, 0, 0, 0};
 
-  std::vector<std::uint8_t> pack() const;
-  static BlockRecord unpack(const std::vector<std::uint8_t>& bytes);
+  using Bytes = std::array<std::uint8_t, kSize>;
+  Bytes pack() const;
+  static BlockRecord unpack(std::span<const std::uint8_t> bytes);
 };
 
 /// A block *slab* is the datapath allocation unit: the 58-byte record

@@ -60,7 +60,7 @@ std::optional<trio::Action> ResultBuilder::step(trio::ThreadContext& ctx) {
         frame_.write(kGradOff + offset_, ctx.reply.data);
         trio::ActAsyncXtxn pmem;
         pmem.req.op = trio::XtxnOp::kPmemWrite;
-        pmem.req.data = ctx.reply.data;
+        pmem.req.len = static_cast<std::uint32_t>(ctx.reply.data.size());
         pmem.instructions = 4;
         offset_ += ctx.reply.data.size();
         chunk_outstanding_ = false;

@@ -259,7 +259,7 @@ RunReport run_impl(const RunConfig& config,
             u += tw->results_received();
           }
           if (netrpc::RpcClient* c = mgr->tenant_rpc_client(int(t), w)) {
-            u += c->calls_completed();
+            u += c->calls_completed() + c->calls_given_up();
           }
         }
       }

@@ -18,6 +18,7 @@
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "trio/router.hpp"
+#include "trioml/testbed.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -25,14 +26,18 @@ std::atomic<std::uint64_t> g_allocs{0};
 
 // Counting overrides: every allocation path funnels through these. delete
 // is intentionally uncounted — the tests only care that the hot loops stop
-// *acquiring* memory.
-void* operator new(std::size_t n) {
+// *acquiring* memory. All of them stay out of line: inlined into container
+// code, GCC pairs the malloc()/free() inside with the opposite operator
+// and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
                                    (n + static_cast<std::size_t>(al) - 1) &
@@ -41,19 +46,29 @@ void* operator new(std::size_t n, std::align_val_t al) {
   }
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n, std::align_val_t al) {
+[[gnu::noinline]] void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -218,9 +233,10 @@ TEST(AllocCount, LinkEchoLoopSteadyStateIsAllocationFree) {
 
 TEST(AllocCount, RouterForwardingSteadyStateStaysUnderBudget) {
   // The full link->PFE->link path cannot be allocation-free today: each
-  // packet clones a per-packet PpeProgram (unique_ptr) and opens a
-  // reorder-map ticket. This pins the steady-state budget so regressions
-  // (or a future fix dropping it to zero) are visible.
+  // packet clones a per-packet PpeProgram (unique_ptr), opens a
+  // reorder-map ticket and parks its output in the reorder engine, and the
+  // test builds each packet's frame. This pins the steady-state budget so
+  // regressions (or a future fix dropping it to zero) are visible.
   sim::Simulator sim;
   trio::Router router(sim, trio::Calibration{}, 1, 2);
   const auto nh = router.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
@@ -240,7 +256,48 @@ TEST(AllocCount, RouterForwardingSteadyStateStaysUnderBudget) {
   inject(1024);
   const std::uint64_t per_packet = (allocs() - before) / 1024;
   EXPECT_EQ(delivered - warm_delivered, 1024);
-  EXPECT_LE(per_packet, 12u)
+  EXPECT_LE(per_packet, 4u)
+      << "per-packet allocation budget regressed: " << per_packet;
+}
+
+TEST(AllocCount, TrioMlAggregationSteadyStateStaysUnderBudget) {
+  // Four workers stream 512-gradient packets into one PFE. Once slabs,
+  // SMS pages and packet pools are warm, an aggregation packet still
+  // allocates its PpeProgram with the program's action queue and carry
+  // buffer, a reorder ticket, and on the host its frame and block entry;
+  // a completed block adds its result frame and hash record. XTXN
+  // payloads (add slices, record writes, tail chunks) and reply closures
+  // allocate nothing. This pins the budget the path reaches today.
+  constexpr int kWorkers = 4;
+  constexpr std::uint16_t kGrads = 512;
+  constexpr std::size_t kBlocks = 256;  // per worker and allreduce
+  trioml::TestbedConfig cfg;
+  cfg.num_workers = kWorkers;
+  cfg.grads_per_packet = kGrads;
+  cfg.window = 64;
+  cfg.slab_pool = kWorkers * (64 + 64);
+  trioml::Testbed tb(cfg);
+  std::vector<std::uint32_t> grads(kBlocks * kGrads);
+  for (std::size_t i = 0; i < grads.size(); ++i) {
+    grads[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  }
+  int done = 0;
+  auto allreduce = [&](std::uint16_t gen) {
+    for (int w = 0; w < kWorkers; ++w) {
+      tb.worker(w).start_allreduce(
+          grads, gen, [&done](trioml::AllreduceResult) { ++done; });
+    }
+    tb.simulator().run();
+  };
+  allreduce(1);  // warm-up
+  const std::uint64_t packets_before = tb.app(0).stats().packets;
+  const std::uint64_t before = allocs();
+  allreduce(2);
+  const std::uint64_t packets = tb.app(0).stats().packets - packets_before;
+  ASSERT_EQ(done, 2 * kWorkers);
+  ASSERT_EQ(packets, kWorkers * kBlocks);
+  const std::uint64_t per_packet = (allocs() - before) / packets;
+  EXPECT_LE(per_packet, 7u)
       << "per-packet allocation budget regressed: " << per_packet;
 }
 

@@ -146,12 +146,17 @@ TEST(MicrocodeFuzzChains, RandomGotoChainsTerminateCorrectly) {
     for (int pos = 0; pos < n; ++pos) {
       const int block = order[static_cast<std::size_t>(pos)];
       expected = expected * 3 + static_cast<std::uint64_t>(block);
-      source += "b" + std::to_string(block) + ":\nbegin\n  ir0 = ir0 * 3 + " +
-                std::to_string(block) + ";\n";
+      // Appended piecewise: GCC 12's -Wrestrict misfires on
+      // `"literal" + std::string` in optimised builds.
+      source += 'b';
+      source += std::to_string(block);
+      source += ":\nbegin\n  ir0 = ir0 * 3 + ";
+      source += std::to_string(block);
+      source += ";\n";
       if (pos + 1 < n) {
-        source += "  goto b" +
-                  std::to_string(order[static_cast<std::size_t>(pos + 1)]) +
-                  ";\n";
+        source += "  goto b";
+        source += std::to_string(order[static_cast<std::size_t>(pos + 1)]);
+        source += ";\n";
       } else {
         source += "  goto fin;\n";
       }

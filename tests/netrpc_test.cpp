@@ -327,6 +327,82 @@ TEST(NetRpc, StragglerCannotPolluteAReusedPendingSlot) {
   EXPECT_EQ(client->degraded_calls(), 1u);
 }
 
+TEST(NetRpc, AgingScanTellsApartTwoCallsOnOneSlot) {
+  // The aging scan ages a pending slot only when two consecutive passes
+  // see the same call at the same count. Two different calls that reuse
+  // one slot and show the same count on consecutive passes are progress,
+  // not a stall. Part 1 drives that with real calls: call 1 and call 17
+  // (slot 1) each sit at 2 of 3 responses when a pass runs. Part 2 stages
+  // the full-count variant in SMS: a completing thread that saw the last
+  // response has not yet read its merge buffer when the pass runs, and
+  // the scan must not reset that buffer under it, or the thread emits an
+  // all-zero, non-degraded merge.
+  Cluster cl(netrpc_spec());
+  jobs::JobManager mgr(cl);
+  mgr.set_netrpc_aging(sim::Duration::micros(100));  // passes at 0, 100, ...
+  jobs::TenantSpec spec = netrpc_tenant(4);
+  spec.rpc_window = 16;
+  ASSERT_TRUE(mgr.admit(spec).admitted);
+  netrpc::RpcClient* client = mgr.tenant_rpc_client(4, 0);
+  netrpc::RpcServer* replica2 = mgr.tenant_rpc_server(4, 3);
+  netrpc::NetRpcApp* app = mgr.netrpc_app();
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(replica2, nullptr);
+  auto& sim = cl.simulator();
+  const std::vector<std::uint32_t> args{5, 6, 7, 8, 9, 10, 11, 12};
+  std::vector<netrpc::CallResult> results;
+  auto call = [&] {
+    client->call(args, [&](netrpc::CallResult r) { results.push_back(r); });
+  };
+
+  // Calls 1..16 reach 2 of 3 responses; the pass at 100 us notes them.
+  sim.run_until(at_us(50));
+  replica2->stall_for(sim::Duration::micros(100));
+  for (int i = 0; i < 16; ++i) call();
+  sim.run_until(at_us(175));
+  ASSERT_EQ(results.size(), 16u);  // the stall lifted at 150 us
+  // Call 17 reuses slot 1 and is at 2 of 3 for the pass at 200 us; its
+  // last response lands before the pass at 300 us.
+  replica2->stall_for(sim::Duration::micros(100));
+  call();
+  sim.run_until(at_us(295));
+  ASSERT_EQ(results.size(), 17u);
+  const netrpc::CallResult& second = results.back();
+  EXPECT_EQ(second.rpc_id, 17u);
+  EXPECT_FALSE(second.degraded) << "a progressing call was aged";
+  EXPECT_EQ(second.server_cnt, 3);
+  EXPECT_EQ(second.values, expected_sum(args, 17, 3));
+  EXPECT_EQ(app->stats().degraded_emitted, 0u);
+
+  // Part 2: slot 5 shows call 5 at full count on the pass at 300 us, then
+  // call 21 at full count, its merge not yet read, on the pass at 400 us.
+  trio::SharedMemorySystem& sms = app->pfe().sms();
+  const std::uint64_t slot = app->service(4)->layout.pending_slot(0, 5);
+  const std::vector<std::uint32_t> merged = expected_sum(args, 21, 3);
+  auto stage = [&](std::uint32_t rpc_id) {
+    sms.poke_u64(slot, std::uint64_t(rpc_id) << 1);
+    sms.poke_u32(slot + netrpc::kPendingArrivedOff, 3);
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      sms.poke_u32(slot + netrpc::kPendingMergeOff + i * 4, merged[i]);
+    }
+  };
+  stage(5);
+  sim.run_until(at_us(350));
+  stage(21);
+  sim.run_until(at_us(450));
+  EXPECT_EQ(app->stats().pending_reset, 0u) << "a live full merge was reset";
+  EXPECT_EQ(sms.peek_u64(slot), std::uint64_t(21) << 1);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(sms.peek_u32(slot + netrpc::kPendingMergeOff + i * 4),
+              merged[i])
+        << "the completing thread would read a zeroed merge";
+  }
+  // Still unchanged on the next pass: now it is a stale slot, reclaimed.
+  sim.run_until(at_us(550));
+  EXPECT_EQ(app->stats().pending_reset, 1u);
+  EXPECT_EQ(app->stats().degraded_emitted, 0u);
+}
+
 TEST(NetRpc, KeyOpsBetweenCallsNeverCollideLiveCallsOnASlot) {
   // REVIEW.md medium: get()/put() used to share the call id sequence, so
   // 15 key ops between two call()s put both live calls on the same

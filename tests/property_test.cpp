@@ -85,88 +85,145 @@ TEST(WireFormatProperty, RandomHeadersRoundTrip) {
 // SMS against a reference model
 
 TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
+  // Random lengths and byte alignments over an 8-page arena, with half
+  // the addresses drawn next to a 4 KiB page boundary, so word accesses,
+  // writes, reads and AddVec32 slices regularly straddle two pages.
   sim::Simulator sim;
   trio::SharedMemorySystem sms(sim, trio::Calibration{});
   std::map<std::uint64_t, std::uint8_t> ref;  // byte-level shadow
   sim::Rng rng(0x5e5);
+  trio::XtxnReply reply;
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kArena = 8 * kPage;
 
-  auto ref_u32 = [&](std::uint64_t addr) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = v << 8 | ref[addr + std::uint64_t(i)];
-    return v;
-  };
-  auto ref_set_u32 = [&](std::uint64_t addr, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      ref[addr + std::uint64_t(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  };
-  auto ref_u64 = [&](std::uint64_t addr) {
+  auto ref_le = [&](std::uint64_t addr, int n) {
     std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = v << 8 | ref[addr + std::uint64_t(i)];
+    for (int i = n - 1; i >= 0; --i) v = v << 8 | ref[addr + std::uint64_t(i)];
     return v;
   };
-  auto ref_set_u64 = [&](std::uint64_t addr, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
+  auto ref_set_le = [&](std::uint64_t addr, int n, std::uint64_t v) {
+    for (int i = 0; i < n; ++i) {
       ref[addr + std::uint64_t(i)] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   };
+  // An address for an access of `len` bytes that stays inside the arena.
+  auto pick_addr = [&](std::uint64_t len) {
+    if (rng.next_below(2) == 0) return rng.next_below(kArena - len);
+    const std::uint64_t boundary = (1 + rng.next_below(7)) * kPage;
+    return boundary - 1 - rng.next_below(len + 8) + rng.next_below(8);
+  };
+  auto random_bytes = [&](std::size_t n) {
+    trio::XtxnBytes out;
+    out.resize(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+    return out;
+  };
+  int straddles = 0;
+  auto note = [&](std::uint64_t addr, std::uint64_t len) {
+    if (addr / kPage != (addr + len - 1) / kPage) ++straddles;
+  };
 
-  for (int op = 0; op < 5000; ++op) {
-    const std::uint64_t addr = rng.next_below(4096) * 8;  // 32 KB arena
+  for (int op = 0; op < 20000; ++op) {
     trio::XtxnRequest req;
-    switch (rng.next_below(5)) {
-      case 0: {  // write random 8 bytes
+    switch (rng.next_below(8)) {
+      case 0: {  // write 1..64 random bytes
+        const std::size_t len = 1 + rng.next_below(64);
         req.op = trio::XtxnOp::kWrite;
-        req.addr = addr;
-        req.data.resize(8);
-        for (auto& b : req.data) b = static_cast<std::uint8_t>(rng.next_u64());
-        for (std::size_t i = 0; i < 8; ++i) ref[addr + i] = req.data[i];
-        sms.issue(req, {});
+        req.addr = pick_addr(len);
+        req.data = random_bytes(len);
+        for (std::size_t i = 0; i < len; ++i) ref[req.addr + i] = req.data[i];
+        sms.issue(req, reply);
+        note(req.addr, len);
         break;
       }
-      case 1: {  // fetch-add32
+      case 1: {  // fetch-add32, any alignment
         const auto inc = static_cast<std::uint32_t>(rng.next_u64());
         req.op = trio::XtxnOp::kFetchAdd32;
-        req.addr = addr;
+        req.addr = pick_addr(4);
         req.arg0 = inc;
-        sms.issue(req, {});
-        ref_set_u32(addr, ref_u32(addr) + inc);
+        const auto old = static_cast<std::uint32_t>(ref_le(req.addr, 4));
+        sms.issue(req, reply);
+        ASSERT_EQ(reply.value, old) << "fetch-add32 at " << req.addr;
+        ref_set_le(req.addr, 4, old + inc);
+        note(req.addr, 4);
         break;
       }
       case 2: {  // fetch-or64
         const std::uint64_t m = rng.next_u64();
         req.op = trio::XtxnOp::kFetchOr64;
-        req.addr = addr;
+        req.addr = pick_addr(8);
         req.arg0 = m;
-        sms.issue(req, {});
-        ref_set_u64(addr, ref_u64(addr) | m);
+        const std::uint64_t old = ref_le(req.addr, 8);
+        sms.issue(req, reply);
+        ASSERT_EQ(reply.value, old) << "fetch-or64 at " << req.addr;
+        ref_set_le(req.addr, 8, old | m);
+        note(req.addr, 8);
         break;
       }
       case 3: {  // masked write
         const std::uint64_t v = rng.next_u64();
         const std::uint64_t m = rng.next_u64();
         req.op = trio::XtxnOp::kMaskedWrite64;
-        req.addr = addr;
+        req.addr = pick_addr(8);
         req.arg0 = v;
         req.arg1 = m;
-        sms.issue(req, {});
-        ref_set_u64(addr, (ref_u64(addr) & ~m) | (v & m));
+        sms.issue(req, reply);
+        ref_set_le(req.addr, 8, (ref_le(req.addr, 8) & ~m) | (v & m));
+        note(req.addr, 8);
         break;
       }
-      case 4: {  // vector add of 4 gradients
+      case 4: {  // AddVec32 slice of 1..16 gradients
+        const std::size_t n = 1 + rng.next_below(16);
         req.op = trio::XtxnOp::kAddVec32;
-        req.addr = addr;
-        req.data.resize(16);
-        for (auto& b : req.data) b = static_cast<std::uint8_t>(rng.next_u64());
-        for (int g = 0; g < 4; ++g) {
+        req.addr = pick_addr(n * 4);
+        req.data = random_bytes(n * 4);
+        for (std::size_t g = 0; g < n; ++g) {
+          const std::uint64_t a = req.addr + g * 4;
           std::uint32_t inc = 0;
           for (int i = 3; i >= 0; --i) {
-            inc = inc << 8 | req.data[static_cast<std::size_t>(g * 4 + i)];
+            inc = inc << 8 | req.data[g * 4 + static_cast<std::size_t>(i)];
           }
-          ref_set_u32(addr + std::uint64_t(g) * 4,
-                      ref_u32(addr + std::uint64_t(g) * 4) + inc);
+          ref_set_le(a, 4, static_cast<std::uint32_t>(ref_le(a, 4)) + inc);
         }
-        sms.issue(req, {});
+        sms.issue(req, reply);
+        note(req.addr, n * 4);
+        break;
+      }
+      case 5: {  // direct word pokes
+        if (rng.next_below(2) == 0) {
+          const std::uint64_t a = pick_addr(4);
+          const auto v = static_cast<std::uint32_t>(rng.next_u64());
+          sms.poke_u32(a, v);
+          ref_set_le(a, 4, v);
+          note(a, 4);
+        } else {
+          const std::uint64_t a = pick_addr(8);
+          const std::uint64_t v = rng.next_u64();
+          sms.poke_u64(a, v);
+          ref_set_le(a, 8, v);
+          note(a, 8);
+        }
+        break;
+      }
+      case 6: {  // direct word peeks
+        const std::uint64_t a4 = pick_addr(4);
+        ASSERT_EQ(sms.peek_u32(a4), ref_le(a4, 4)) << "peek_u32 at " << a4;
+        const std::uint64_t a8 = pick_addr(8);
+        ASSERT_EQ(sms.peek_u64(a8), ref_le(a8, 8)) << "peek_u64 at " << a8;
+        break;
+      }
+      case 7: {  // read 1..64 bytes
+        const std::size_t len = 1 + rng.next_below(64);
+        req.op = trio::XtxnOp::kRead;
+        req.addr = pick_addr(len);
+        req.len = static_cast<std::uint32_t>(len);
+        sms.issue(req, reply);
+        ASSERT_EQ(reply.data.size(), len);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(reply.data[i], ref[req.addr + i])
+              << "read at " << req.addr << " byte " << i;
+        }
+        note(req.addr, len);
         break;
       }
     }
@@ -175,6 +232,69 @@ TEST(SmsProperty, RandomOpSequenceMatchesReferenceModel) {
   for (const auto& [addr, byte] : ref) {
     ASSERT_EQ(sms.peek_u8(addr), byte) << "divergence at " << addr;
   }
+  EXPECT_GT(straddles, 1000) << "too few page-straddling accesses";
+}
+
+TEST(SmsProperty, ClearLeavesUntouchedPagesAbsentAndReadingZero) {
+  sim::Simulator sim;
+  trio::SharedMemorySystem sms(sim, trio::Calibration{});
+  const std::uint64_t base = sms.dram_base() + 64 * 4096;
+  sms.poke_u64(base + 4096 + 100, 0x1122334455667788ull);  // page 1 only
+  ASSERT_FALSE(sms.page_resident(base));
+  ASSERT_TRUE(sms.page_resident(base + 4096));
+
+  sms.clear(base + 8, 3 * 4096);  // spans pages 0..3, partly
+  EXPECT_FALSE(sms.page_resident(base)) << "clear materialised a page";
+  EXPECT_FALSE(sms.page_resident(base + 2 * 4096));
+  EXPECT_FALSE(sms.page_resident(base + 3 * 4096));
+  EXPECT_TRUE(sms.page_resident(base + 4096));
+  EXPECT_EQ(sms.peek_u64(base + 4096 + 100), 0u);
+  EXPECT_EQ(sms.peek_u64(base), 0u);
+  EXPECT_EQ(sms.peek_u32(base + 2 * 4096 - 2), 0u);  // pages 1 and 2
+  const auto bytes = sms.peek_bytes(base, 4 * 4096);
+  for (std::uint8_t b : bytes) ASSERT_EQ(b, 0);
+  // Reads never materialise pages either.
+  EXPECT_FALSE(sms.page_resident(base + 3 * 4096));
+}
+
+TEST(SmsProperty, ClearZeroesOnlyTheRange) {
+  sim::Simulator sim;
+  trio::SharedMemorySystem sms(sim, trio::Calibration{});
+  const std::uint64_t base = 4096;
+  for (std::uint64_t a = base; a < base + 2 * 4096; a += 8) {
+    sms.poke_u64(a, ~0ull);
+  }
+  sms.clear(base + 4093, 10);  // straddles the boundary between the pages
+  EXPECT_EQ(sms.peek_u8(base + 4092), 0xff);
+  for (std::uint64_t a = base + 4093; a < base + 4103; ++a) {
+    EXPECT_EQ(sms.peek_u8(a), 0) << a;
+  }
+  EXPECT_EQ(sms.peek_u8(base + 4103), 0xff);
+}
+
+TEST(SmsProperty, OutOfRangeWritesThrow) {
+  sim::Simulator sim;
+  trio::SharedMemorySystem sms(sim, trio::Calibration{});
+  const std::uint64_t end = sms.dram_base() + trio::Calibration{}.dram_bytes;
+  trio::XtxnReply reply;
+  trio::XtxnRequest wr;
+  wr.op = trio::XtxnOp::kWrite;
+  wr.addr = end - 4;
+  wr.data.assign(8, 1);  // last 4 bytes fall off the end
+  EXPECT_THROW(sms.issue(wr, reply), std::out_of_range);
+  trio::XtxnRequest add;
+  add.op = trio::XtxnOp::kAddVec32;
+  add.addr = end;
+  add.data.assign(4, 1);
+  EXPECT_THROW(sms.issue(add, reply), std::out_of_range);
+  EXPECT_THROW(sms.poke_u32(end - 2, 1), std::out_of_range);
+  EXPECT_THROW(sms.poke_u64(end, 1), std::out_of_range);
+  EXPECT_THROW(sms.poke_u8(end, 1), std::out_of_range);
+  EXPECT_THROW(sms.clear(end - 8, 16), std::out_of_range);
+  // The last in-range word still works, and reads past the end are zero.
+  sms.poke_u32(end - 4, 0xabcdef01u);
+  EXPECT_EQ(sms.peek_u32(end - 4), 0xabcdef01u);
+  EXPECT_EQ(sms.peek_u64(end), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -190,9 +190,10 @@ TEST(Mqss, RejectsOversizedChunks) {
   trio::Calibration c;
   trio::Mqss mqss(sim, c);
   net::Packet pkt{net::Buffer(1000)};
-  EXPECT_THROW(mqss.tail_read(pkt, 0, 128, {}), std::invalid_argument);
-  EXPECT_THROW(mqss.tail_read(pkt, 900, 64, {}), std::out_of_range);
-  EXPECT_THROW(mqss.pmem_write(512, {}), std::invalid_argument);
+  trio::XtxnReply reply;
+  EXPECT_THROW(mqss.tail_read(pkt, 0, 128, reply), std::invalid_argument);
+  EXPECT_THROW(mqss.tail_read(pkt, 900, 64, reply), std::out_of_range);
+  EXPECT_THROW(mqss.pmem_write(512, reply), std::invalid_argument);
 }
 
 TEST(Mqss, TailReadReturnsTheRightBytes) {
@@ -204,13 +205,14 @@ TEST(Mqss, TailReadReturnsTheRightBytes) {
     frame.set_u8(i, static_cast<std::uint8_t>(i));
   }
   net::Packet pkt{std::move(frame)};
-  std::vector<std::uint8_t> got;
-  mqss.tail_read(pkt, 10, 16,
-                 [&](trio::XtxnReply r) { got = std::move(r.data); });
+  trio::XtxnReply got;
+  bool replied = false;
+  mqss.tail_read(pkt, 10, 16, got, [&] { replied = true; });
   sim.run();
-  ASSERT_EQ(got.size(), 16u);
+  ASSERT_TRUE(replied);
+  ASSERT_EQ(got.data.size(), 16u);
   // Tail offset 10 = frame byte 192 + 10.
-  EXPECT_EQ(got[0], static_cast<std::uint8_t>(202));
+  EXPECT_EQ(got.data[0], static_cast<std::uint8_t>(202));
   EXPECT_EQ(mqss.tail_bytes_read(), 16u);
 }
 

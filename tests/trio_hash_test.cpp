@@ -112,14 +112,14 @@ TEST_F(HashTableTest, XtxnInterface) {
   ins.arg0 = 7;
   ins.arg1 = 700;
   trio::XtxnReply reply;
-  table.issue(ins, [&](trio::XtxnReply r) { reply = std::move(r); });
+  table.issue(ins, reply);
   sim.run();
   EXPECT_TRUE(reply.ok);
 
   trio::XtxnRequest lu;
   lu.op = trio::XtxnOp::kHashLookup;
   lu.arg0 = 7;
-  table.issue(lu, [&](trio::XtxnReply r) { reply = std::move(r); });
+  table.issue(lu, reply);
   sim.run();
   EXPECT_TRUE(reply.ok);
   EXPECT_EQ(reply.value, 700u);
@@ -127,12 +127,12 @@ TEST_F(HashTableTest, XtxnInterface) {
   trio::XtxnRequest del;
   del.op = trio::XtxnOp::kHashDelete;
   del.arg0 = 7;
-  table.issue(del, [&](trio::XtxnReply r) { reply = std::move(r); });
+  table.issue(del, reply);
   sim.run();
   EXPECT_TRUE(reply.ok);
   EXPECT_EQ(reply.value, 700u) << "delete reply carries the record value";
 
-  table.issue(del, [&](trio::XtxnReply r) { reply = std::move(r); });
+  table.issue(del, reply);
   sim.run();
   EXPECT_FALSE(reply.ok);
 }
@@ -145,7 +145,7 @@ TEST_F(HashTableTest, XtxnScanReturnsPackedKeys) {
   scan.arg0 = std::uint64_t(1) << 32 | 0;  // parts=1, part=0
   scan.arg1 = 16;
   trio::XtxnReply reply;
-  table.issue(scan, [&](trio::XtxnReply r) { reply = std::move(r); });
+  table.issue(scan, reply);
   sim.run();
   EXPECT_EQ(reply.value, 1u);
   ASSERT_EQ(reply.data.size(), 8u);

@@ -11,14 +11,12 @@ class SmsTest : public ::testing::Test {
   sim::Simulator sim;
   trio::Calibration cal;
   trio::SharedMemorySystem sms{sim, trio::Calibration{}};
+  trio::XtxnReply scratch;  // reply slot for requests whose reply is unused
 
   trio::XtxnReply issue_sync(trio::XtxnRequest req) {
     trio::XtxnReply out;
     bool got = false;
-    sms.issue(req, [&](trio::XtxnReply r) {
-      out = std::move(r);
-      got = true;
-    });
+    sms.issue(req, out, [&] { got = true; });
     sim.run();
     EXPECT_TRUE(got);
     return out;
@@ -30,7 +28,7 @@ TEST_F(SmsTest, ReadWriteRoundTrip) {
   wr.op = trio::XtxnOp::kWrite;
   wr.addr = 128;
   wr.data = {1, 2, 3, 4, 5, 6, 7, 8};
-  sms.issue(wr, {});
+  sms.issue(wr, scratch);
 
   trio::XtxnRequest rd;
   rd.op = trio::XtxnOp::kRead;
@@ -45,8 +43,8 @@ TEST_F(SmsTest, CounterIncUpdatesPacketAndByteHalves) {
   inc.op = trio::XtxnOp::kCounterInc;
   inc.addr = 256;
   inc.arg0 = 1500;
-  sms.issue(inc, {});
-  sms.issue(inc, {});
+  sms.issue(inc, scratch);
+  sms.issue(inc, scratch);
   EXPECT_EQ(sms.peek_u64(256), 2u);        // packets
   EXPECT_EQ(sms.peek_u64(256 + 8), 3000u);  // bytes
 }
@@ -98,7 +96,7 @@ TEST_F(SmsTest, MaskedWrite) {
   req.addr = 704;
   req.arg0 = 0x5555555555555555ull;  // value
   req.arg1 = 0x00000000ffffffffull;  // mask: low half only
-  sms.issue(req, {});
+  sms.issue(req, scratch);
   EXPECT_EQ(sms.peek_u64(704), 0xaaaaaaaa55555555ull);
 }
 
@@ -110,9 +108,9 @@ TEST_F(SmsTest, AddVec32SumsGradients) {
   trio::XtxnRequest req;
   req.op = trio::XtxnOp::kAddVec32;
   req.addr = 1024;
-  req.data = grads;
-  sms.issue(req, {});
-  sms.issue(req, {});
+  req.data.assign(grads);
+  sms.issue(req, scratch);
+  sms.issue(req, scratch);
   EXPECT_EQ(sms.peek_u32(1024), 20u);
   EXPECT_EQ(sms.peek_u32(1028), 40u);
   EXPECT_EQ(sms.peek_u32(1032), 60u);
@@ -126,7 +124,7 @@ TEST_F(SmsTest, AddVec32WrapsAround32Bits) {
   req.op = trio::XtxnOp::kAddVec32;
   req.addr = 2048;
   req.data = {2, 0, 0, 0};
-  sms.issue(req, {});
+  sms.issue(req, scratch);
   EXPECT_EQ(sms.peek_u32(2048), 1u);  // modular arithmetic, no spill
 }
 
@@ -169,13 +167,13 @@ TEST_F(SmsTest, SramLatencyFasterThanDram) {
   sram.addr = 64;  // SRAM region
   sram.len = 8;
   const sim::Time t0 = sim.now();
-  const sim::Time sram_reply = sms.issue(sram, {});
+  const sim::Time sram_reply = sms.issue(sram, scratch);
 
   trio::XtxnRequest dram;
   dram.op = trio::XtxnOp::kRead;
   dram.addr = sms.dram_base() + (100u << 20);  // cold DRAM line
   dram.len = 8;
-  const sim::Time dram_reply = sms.issue(dram, {});
+  const sim::Time dram_reply = sms.issue(dram, scratch);
   EXPECT_LT((sram_reply - t0).ns(), 150);
   EXPECT_GT((dram_reply - t0).ns(), 300);
 }
@@ -185,9 +183,9 @@ TEST_F(SmsTest, DramCacheHitsAfterFirstTouch) {
   rd.op = trio::XtxnOp::kRead;
   rd.addr = sms.dram_base() + 4096;
   rd.len = 8;
-  sms.issue(rd, {});
+  sms.issue(rd, scratch);
   EXPECT_EQ(sms.dram_cache_misses(), 1u);
-  sms.issue(rd, {});
+  sms.issue(rd, scratch);
   EXPECT_EQ(sms.dram_cache_hits(), 1u);
 }
 
@@ -199,7 +197,7 @@ TEST_F(SmsTest, BankSerializationCreatesBackpressure) {
   add.addr = 0;  // bank 0
   add.data.assign(64, 1);  // 16 adds x 2 cycles = 32 cycles service
   sim::Time last;
-  for (int i = 0; i < 10; ++i) last = sms.issue(add, {});
+  for (int i = 0; i < 10; ++i) last = sms.issue(add, scratch);
   // Total >= 10 * 32 cycles of service on one engine.
   EXPECT_GE((last - sim.now()).ns(), 10 * 32 - 32);
 }
@@ -221,12 +219,12 @@ TEST_F(SmsTest, LineOwnershipModeIsSlower) {
   add.data.assign(64, 1);
 
   sim::Time rmw_last;
-  for (int i = 0; i < 20; ++i) rmw_last = sms.issue(add, {});
+  for (int i = 0; i < 20; ++i) rmw_last = sms.issue(add, scratch);
 
   trio::SharedMemorySystem slow(sim, trio::Calibration{});
   slow.set_line_ownership_mode(true);
   sim::Time own_last;
-  for (int i = 0; i < 20; ++i) own_last = slow.issue(add, {});
+  for (int i = 0; i < 20; ++i) own_last = slow.issue(add, scratch);
   EXPECT_GT((own_last - sim.now()).ns(), 2 * (rmw_last - sim.now()).ns());
 }
 
@@ -249,7 +247,7 @@ TEST_F(SmsTest, OutOfRangeAccessThrows) {
   rd.op = trio::XtxnOp::kRead;
   rd.addr = sms.dram_base() + trio::Calibration{}.dram_bytes;
   rd.len = 8;
-  EXPECT_THROW(sms.issue(rd, {}), std::out_of_range);
+  EXPECT_THROW(sms.issue(rd, scratch), std::out_of_range);
 }
 
 }  // namespace
