@@ -6,6 +6,10 @@
 // explicit, exactly as in the Trio Compiler: one begin/end block is one
 // VLIW micro-instruction, and the compiler *fails* if the block needs
 // more resources than one instruction provides.
+//
+// The parser fills in the names; the compiler resolves each one once and
+// stores the result on the node (the members marked "Resolved by the
+// compiler"), so the interpreter walks the tree without a name lookup.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +28,10 @@ enum class BinOp {
 
 enum class UnOp { kNeg, kLNot, kBitNot };
 
+struct Location;       // compiler.hpp
+struct IntrinsicInfo;  // compiler.hpp
+struct StructField;
+
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -40,7 +48,7 @@ struct Expr {
   };
 
   Kind kind{};
-  std::uint64_t number = 0;
+  std::uint64_t number = 0;  // kNumber; kSizeof: the folded size
   std::string name;    // var / pointer / intrinsic / sizeof type
   std::string field;   // kField
   bool arrow = false;  // kField: true for '->', false for '.'
@@ -51,6 +59,12 @@ struct Expr {
   std::vector<ExprPtr> args;
   int line = 0;
   int col = 0;
+
+  // Resolved by the compiler.
+  const Location* loc = nullptr;  // kVar / kIndex / kField: `name`'s
+                                  // storage, or a dotted builtin's
+  const StructField* fld = nullptr;  // kField (null: dotted builtin)
+  const IntrinsicInfo* intrinsic = nullptr;  // kIntrinsic
 };
 
 struct Stmt;
@@ -85,6 +99,11 @@ struct Stmt {
   std::vector<StmtPtr> default_body;   // kSwitch default arm (may be empty)
   int line = 0;
   int col = 0;
+
+  // Resolved by the compiler.
+  const Location* loc = nullptr;             // kLocalDecl
+  std::size_t target_block = 0;              // kGoto / kCall
+  const IntrinsicInfo* intrinsic = nullptr;  // kIntrinsic
 };
 
 /// One `case N: { ... }` arm. The sequencing logic selects among up to

@@ -8,40 +8,78 @@
 
 namespace microcode {
 
-const IntrinsicInfo* intrinsic_info(const std::string& name) {
-  static const std::unordered_map<std::string, IntrinsicInfo> table = {
-      {"CounterIncPhys", {IntrinsicKind::kPosted, 2}},
-      {"SmsWrite64", {IntrinsicKind::kPosted, 2}},
-      {"SmsRead64", {IntrinsicKind::kSync, 1}},
-      {"FetchAdd32", {IntrinsicKind::kSync, 2}},
-      {"FetchOr64", {IntrinsicKind::kSync, 2}},
-      {"FetchSwap64", {IntrinsicKind::kSync, 2}},
-      {"HashLookup", {IntrinsicKind::kSync, 1}},
-      {"HashInsert", {IntrinsicKind::kSync, 2}},
-      {"HashDelete", {IntrinsicKind::kSync, 1}},
-      {"PolicerCheck", {IntrinsicKind::kSync, 2}},
-      // Vector forms move (addr, lmem_off, len_bytes) between SMS and the
-      // thread's LMEM; the RMW variants merge in place (netrpc §merge).
-      {"SmsReadVec", {IntrinsicKind::kSync, 3}},
-      {"SmsWriteVec", {IntrinsicKind::kPosted, 3}},
-      {"SmsFill32", {IntrinsicKind::kPosted, 3}},
-      {"AddVec32", {IntrinsicKind::kPosted, 3}},
-      {"MinVec32", {IntrinsicKind::kPosted, 3}},
-      {"VoteVec32", {IntrinsicKind::kPosted, 3}},
-      {"Forward", {IntrinsicKind::kAction, 1}},
-      {"Drop", {IntrinsicKind::kAction, 0}},
-      {"Exit", {IntrinsicKind::kAction, 0}},
-  };
-  auto it = table.find(name);
-  return it == table.end() ? nullptr : &it->second;
+namespace {
+
+using X = trio::XtxnOp;
+using K = IntrinsicKind;
+using O = OperandForm;
+using R = ReplyForm;
+
+// name, kind, arity, XTXN op, operand form, reply form.
+constexpr IntrinsicInfo kIntrinsics[] = {
+    {"CounterIncPhys", K::kPosted, 2, X::kCounterInc, O::kCounter, R::kNone},
+    {"SmsWrite64", K::kPosted, 2, X::kWrite, O::kWrite64, R::kNone},
+    {"SmsRead64", K::kSync, 1, X::kRead, O::kRead64, R::kLe64},
+    {"FetchAdd32", K::kSync, 2, X::kFetchAdd32, O::kAddrArg, R::kValue},
+    {"FetchOr64", K::kSync, 2, X::kFetchOr64, O::kAddrArg, R::kValue},
+    {"FetchSwap64", K::kSync, 2, X::kFetchSwap64, O::kAddrArg, R::kValue},
+    {"PolicerCheck", K::kSync, 2, X::kPolicerCheck, O::kAddrArg, R::kValue},
+    {"HashLookup", K::kSync, 1, X::kHashLookup, O::kKey, R::kValue},
+    {"HashInsert", K::kSync, 2, X::kHashInsert, O::kKeyValue, R::kOk},
+    {"HashDelete", K::kSync, 1, X::kHashDelete, O::kKey, R::kOk},
+    // Vector forms move (addr, lmem_off, len_bytes) between SMS and the
+    // thread's LMEM; the RMW variants merge in place (netrpc §merge).
+    {"SmsReadVec", K::kSync, 3, X::kRead, O::kReadVec, R::kToLmem},
+    {"SmsWriteVec", K::kPosted, 3, X::kWrite, O::kLmemVec, R::kNone},
+    {"AddVec32", K::kPosted, 3, X::kAddVec32, O::kLmemVec, R::kNone},
+    {"MinVec32", K::kPosted, 3, X::kMinVec32, O::kLmemVec, R::kNone},
+    {"VoteVec32", K::kPosted, 3, X::kVoteVec32, O::kLmemVec, R::kNone},
+    {"SmsFill32", K::kPosted, 3, X::kWrite, O::kFill32, R::kNone},
+    {"Forward", K::kAction, 1, {}, O::kNexthop, R::kNone},
+    {"Drop", K::kAction, 0, {}, O::kEnd, R::kNone},
+    {"Exit", K::kAction, 0, {}, O::kEnd, R::kNone},
+};
+
+static_assert(std::ranges::all_of(kIntrinsics, [](const IntrinsicInfo& i) {
+  return i.arity <= kMaxIntrinsicArity &&
+         (i.kind != K::kPosted || trio::xtxn_is_posted(i.op));
+}));
+
+}  // namespace
+
+std::span<const IntrinsicInfo> intrinsics() { return kIntrinsics; }
+
+std::uint64_t apply(UnOp op, std::uint64_t v) {
+  switch (op) {
+    case UnOp::kNeg: return ~v + 1;
+    case UnOp::kLNot: return v == 0 ? 1 : 0;
+    case UnOp::kBitNot: return ~v;
+  }
+  return 0;
 }
 
-const Location& CompiledProgram::location(const std::string& name) const {
-  auto it = vars.find(name);
-  if (it == vars.end()) {
-    throw std::logic_error("CompiledProgram: unknown variable " + name);
+std::uint64_t apply(BinOp op, std::uint64_t a, std::uint64_t b) {
+  switch (op) {
+    case BinOp::kAdd: return a + b;
+    case BinOp::kSub: return a - b;
+    case BinOp::kMul: return a * b;
+    case BinOp::kDiv: return a / b;
+    case BinOp::kMod: return a % b;
+    case BinOp::kAnd: return a & b;
+    case BinOp::kOr: return a | b;
+    case BinOp::kXor: return a ^ b;
+    case BinOp::kShl: return b >= 64 ? 0 : a << b;
+    case BinOp::kShr: return b >= 64 ? 0 : a >> b;
+    case BinOp::kEq: return a == b;
+    case BinOp::kNe: return a != b;
+    case BinOp::kLt: return a < b;
+    case BinOp::kLe: return a <= b;
+    case BinOp::kGt: return a > b;
+    case BinOp::kGe: return a >= b;
+    case BinOp::kLAnd: return (a != 0 && b != 0) ? 1 : 0;
+    case BinOp::kLOr: return (a != 0 || b != 0) ? 1 : 0;
   }
-  return it->second;
+  return 0;
 }
 
 namespace {
@@ -127,10 +165,8 @@ class Compiler {
     switch (e.kind) {
       case Expr::Kind::kNumber:
         return e.number;
-      case Expr::Kind::kSizeof: {
-        const StructDef* t = resolve_type(e.name, e.line, e.col);
-        return t->size_bytes();
-      }
+      case Expr::Kind::kSizeof:
+        return resolve_type(e.name, e.line, e.col)->size_bytes();
       case Expr::Kind::kVar: {
         auto it = prog_->vars.find(e.name);
         if (it != prog_->vars.end() &&
@@ -140,43 +176,15 @@ class Compiler {
         throw CompileError("initializer is not a compile-time constant",
                            e.line, e.col);
       }
-      case Expr::Kind::kUnary: {
-        const std::uint64_t v = const_eval(*e.lhs);
-        switch (e.un) {
-          case UnOp::kNeg: return ~v + 1;
-          case UnOp::kLNot: return v == 0 ? 1 : 0;
-          case UnOp::kBitNot: return ~v;
-        }
-        break;
-      }
+      case Expr::Kind::kUnary:
+        return apply(e.un, const_eval(*e.lhs));
       case Expr::Kind::kBinary: {
         const std::uint64_t a = const_eval(*e.lhs);
         const std::uint64_t b = const_eval(*e.rhs);
-        switch (e.bin) {
-          case BinOp::kAdd: return a + b;
-          case BinOp::kSub: return a - b;
-          case BinOp::kMul: return a * b;
-          case BinOp::kDiv:
-            if (b == 0) throw CompileError("division by zero", e.line, e.col);
-            return a / b;
-          case BinOp::kMod:
-            if (b == 0) throw CompileError("division by zero", e.line, e.col);
-            return a % b;
-          case BinOp::kAnd: return a & b;
-          case BinOp::kOr: return a | b;
-          case BinOp::kXor: return a ^ b;
-          case BinOp::kShl: return b >= 64 ? 0 : a << b;
-          case BinOp::kShr: return b >= 64 ? 0 : a >> b;
-          case BinOp::kEq: return a == b;
-          case BinOp::kNe: return a != b;
-          case BinOp::kLt: return a < b;
-          case BinOp::kLe: return a <= b;
-          case BinOp::kGt: return a > b;
-          case BinOp::kGe: return a >= b;
-          case BinOp::kLAnd: return (a != 0 && b != 0) ? 1 : 0;
-          case BinOp::kLOr: return (a != 0 || b != 0) ? 1 : 0;
+        if (b == 0 && (e.bin == BinOp::kDiv || e.bin == BinOp::kMod)) {
+          throw CompileError("division by zero", e.line, e.col);
         }
-        break;
+        return apply(e.bin, a, b);
       }
       default:
         break;
@@ -219,11 +227,13 @@ class Compiler {
     return at;
   }
 
-  void define_var(const std::string& name, Location loc, int line, int col) {
-    if (prog_->vars.contains(name)) {
+  const Location& define_var(const std::string& name, Location loc, int line,
+                             int col) {
+    auto [it, fresh] = prog_->vars.emplace(name, loc);
+    if (!fresh) {
       throw CompileError("redefinition of '" + name + "'", line, col);
     }
-    prog_->vars.emplace(name, loc);
+    return it->second;
   }
 
   void bind_globals() {
@@ -271,11 +281,11 @@ class Compiler {
         define_var(g.name, loc, g.line, g.col);
         continue;
       }
-      Location loc =
-          allocate_scalar(type, g.is_pointer, g.storage, g.line, g.col);
-      define_var(g.name, loc, g.line, g.col);
+      const Location& loc = define_var(
+          g.name, allocate_scalar(type, g.is_pointer, g.storage, g.line, g.col),
+          g.line, g.col);
       if (g.init) {
-        prog_->initial_values.emplace_back(g.name, const_eval(*g.init));
+        prog_->initial_values.emplace_back(&loc, const_eval(*g.init));
       }
     }
   }
@@ -296,17 +306,15 @@ class Compiler {
 
   // --- Per-block binding, validation, resource accounting -----------------
 
-  /// Adds the element-wise max of two exclusive arms' usage into `r`.
-  static void merge_max(BlockResources& r, const BlockResources& a,
-                        const BlockResources& b) {
-    r.reg_reads += std::max(a.reg_reads, b.reg_reads);
-    r.lmem_reads += std::max(a.lmem_reads, b.lmem_reads);
-    r.writes += std::max(a.writes, b.writes);
-    r.alu_ops += std::max(a.alu_ops, b.alu_ops);
-    r.xtxns += std::max(a.xtxns, b.xtxns);
+  static void add_into(BlockResources& r, const BlockResources& a) {
+    r.reg_reads += a.reg_reads;
+    r.lmem_reads += a.lmem_reads;
+    r.writes += a.writes;
+    r.alu_ops += a.alu_ops;
+    r.xtxns += a.xtxns;
   }
 
-  /// Element-wise max accumulator (for >2 exclusive arms).
+  /// Element-wise max accumulator, for mutually exclusive arms.
   static void max_into(BlockResources& w, const BlockResources& a) {
     w.reg_reads = std::max(w.reg_reads, a.reg_reads);
     w.lmem_reads = std::max(w.lmem_reads, a.lmem_reads);
@@ -325,20 +333,44 @@ class Compiler {
     }
   }
 
-  void check_expr(const Expr& e, BlockResources& r, bool allow_sync) {
+  static const IntrinsicInfo* resolve_intrinsic(const std::string& name,
+                                                std::size_t nargs, int line,
+                                                int col) {
+    const IntrinsicInfo* info =
+        std::ranges::find(kIntrinsics, name, &IntrinsicInfo::name);
+    if (info == std::end(kIntrinsics)) {
+      throw CompileError("unknown intrinsic '" + name + "'", line, col);
+    }
+    if (nargs != static_cast<std::size_t>(info->arity)) {
+      throw CompileError("intrinsic '" + name + "' expects " +
+                             std::to_string(info->arity) + " argument(s)",
+                         line, col);
+    }
+    return info;
+  }
+
+  const Location& resolve_var(Expr& e) {
+    auto it = prog_->vars.find(e.name);
+    if (it == prog_->vars.end()) {
+      throw CompileError("use of undeclared variable '" + e.name + "'",
+                         e.line, e.col);
+    }
+    e.loc = &it->second;
+    return it->second;
+  }
+
+  // check_expr / check_lvalue / check_stmt validate a node, count its
+  // resources, and store each name's resolution on it (ast.hpp).
+  void check_expr(Expr& e, BlockResources& r, bool allow_sync) {
     switch (e.kind) {
       case Expr::Kind::kNumber:
         return;
       case Expr::Kind::kSizeof:
-        resolve_type(e.name, e.line, e.col);
+        e.number = resolve_type(e.name, e.line, e.col)->size_bytes();
         return;
       case Expr::Kind::kVar: {
-        auto it = prog_->vars.find(e.name);
-        if (it == prog_->vars.end()) {
-          throw CompileError("use of undeclared variable '" + e.name + "'",
-                             e.line, e.col);
-        }
-        if (it->second.kind == Location::Kind::kBus &&
+        const Location& loc = resolve_var(e);
+        if (loc.kind == Location::Kind::kBus &&
             !bus_defined_.contains(e.name)) {
           throw CompileError(
               "bus variable '" + e.name +
@@ -346,18 +378,19 @@ class Compiler {
                   "values do not persist across instructions)",
               e.line, e.col);
         }
-        count_read(it->second, r);
+        count_read(loc, r);
         return;
       }
       case Expr::Kind::kField: {
         // Dotted builtins (r_work.pkt_len) parse as kField with '.'.
-        if (!e.arrow && prog_->vars.contains(e.name + "." + e.field)) return;
-        auto it = prog_->vars.find(e.name);
-        if (it == prog_->vars.end()) {
-          throw CompileError("use of undeclared variable '" + e.name + "'",
-                             e.line, e.col);
+        if (!e.arrow) {
+          auto dotted = prog_->vars.find(e.name + "." + e.field);
+          if (dotted != prog_->vars.end()) {
+            e.loc = &dotted->second;
+            return;
+          }
         }
-        const Location& base = it->second;
+        const Location& base = resolve_var(e);
         if (base.type == nullptr) {
           throw CompileError("'" + e.name + "' has no struct type", e.line,
                              e.col);
@@ -371,7 +404,8 @@ class Compiler {
                                  "' (use '->')",
                              e.line, e.col);
         }
-        if (base.type->find_field(e.field) == nullptr) {
+        e.fld = base.type->find_field(e.field);
+        if (e.fld == nullptr) {
           throw CompileError("struct " + base.type->name + " has no field '" +
                                  e.field + "'",
                              e.line, e.col);
@@ -389,26 +423,17 @@ class Compiler {
         check_expr(*e.lhs, r, false);
         check_expr(*e.rhs, r, false);
         return;
-      case Expr::Kind::kIndex: {
-        auto it = prog_->vars.find(e.name);
-        if (it == prog_->vars.end()) {
-          throw CompileError("use of undeclared array '" + e.name + "'",
-                             e.line, e.col);
-        }
-        if (!it->second.is_array) {
+      case Expr::Kind::kIndex:
+        if (!resolve_var(e).is_array) {
           throw CompileError("'" + e.name + "' is not an array", e.line,
                              e.col);
         }
         ++r.lmem_reads;
         check_expr(*e.lhs, r, false);
         return;
-      }
       case Expr::Kind::kIntrinsic: {
-        const IntrinsicInfo* info = intrinsic_info(e.name);
-        if (info == nullptr) {
-          throw CompileError("unknown intrinsic '" + e.name + "'", e.line,
-                             e.col);
-        }
+        const IntrinsicInfo* info =
+            resolve_intrinsic(e.name, e.args.size(), e.line, e.col);
         if (info->kind != IntrinsicKind::kSync) {
           throw CompileError("intrinsic '" + e.name +
                                  "' cannot be used in an expression",
@@ -421,11 +446,7 @@ class Compiler {
                   "top-level assignment",
               e.line, e.col);
         }
-        if (static_cast<int>(e.args.size()) != info->arity) {
-          throw CompileError("intrinsic '" + e.name + "' expects " +
-                                 std::to_string(info->arity) + " argument(s)",
-                             e.line, e.col);
-        }
+        e.intrinsic = info;
         ++r.xtxns;
         for (const auto& a : e.args) check_expr(*a, r, false);
         return;
@@ -433,20 +454,15 @@ class Compiler {
     }
   }
 
-  void check_lvalue(const Expr& e, BlockResources& r) {
+  void check_lvalue(Expr& e, BlockResources& r) {
     if (e.kind == Expr::Kind::kVar) {
-      auto it = prog_->vars.find(e.name);
-      if (it == prog_->vars.end()) {
-        throw CompileError("assignment to undeclared variable '" + e.name +
-                               "'",
-                           e.line, e.col);
-      }
-      if (it->second.kind == Location::Kind::kConst ||
-          it->second.kind == Location::Kind::kBuiltin) {
+      const Location& loc = resolve_var(e);
+      if (loc.kind == Location::Kind::kConst ||
+          loc.kind == Location::Kind::kBuiltin) {
         throw CompileError("cannot assign to constant '" + e.name + "'",
                            e.line, e.col);
       }
-      if (it->second.kind == Location::Kind::kBus) {
+      if (loc.kind == Location::Kind::kBus) {
         // Routing an ALU result onto the operand bus: no write port.
         bus_defined_.insert(e.name);
         return;
@@ -455,8 +471,7 @@ class Compiler {
       return;
     }
     if (e.kind == Expr::Kind::kIndex) {
-      auto it = prog_->vars.find(e.name);
-      if (it == prog_->vars.end() || !it->second.is_array) {
+      if (!resolve_var(e).is_array) {
         throw CompileError("assignment to non-array '" + e.name + "'",
                            e.line, e.col);
       }
@@ -467,6 +482,11 @@ class Compiler {
     if (e.kind == Expr::Kind::kField) {
       BlockResources scratch;  // reads of the base pointer count as reads
       check_expr(e, scratch, false);
+      if (e.fld == nullptr) {
+        throw CompileError("cannot assign to builtin '" + e.name + "." +
+                               e.field + "'",
+                           e.line, e.col);
+      }
       r.reg_reads += scratch.reg_reads;
       // The field write is a write, not a read.
       r.lmem_reads += scratch.lmem_reads - 1;
@@ -476,7 +496,7 @@ class Compiler {
     throw CompileError("invalid assignment target", e.line, e.col);
   }
 
-  void check_stmt(const Stmt& s, BlockResources& r, bool top_level) {
+  void check_stmt(Stmt& s, BlockResources& r, bool top_level) {
     switch (s.kind) {
       case Stmt::Kind::kAssign:
         check_lvalue(*s.target, r);
@@ -484,14 +504,16 @@ class Compiler {
         return;
       case Stmt::Kind::kLocalDecl: {
         const StructDef* type = resolve_type(s.type_name, s.line, s.col);
-        if (!prog_->vars.contains(s.name)) {
-          // Program-scoped: first declaration allocates the storage; later
-          // blocks may re-initialize the same name.
-          Location loc = allocate_scalar(type, s.is_pointer,
-                                         StorageClass::kRegister, s.line,
-                                         s.col);
-          define_var(s.name, loc, s.line, s.col);
-        }
+        // Program-scoped: first declaration allocates the storage; later
+        // blocks may re-initialize the same name.
+        auto it = prog_->vars.find(s.name);
+        s.loc = it != prog_->vars.end()
+                    ? &it->second
+                    : &define_var(s.name,
+                                  allocate_scalar(type, s.is_pointer,
+                                                  StorageClass::kRegister,
+                                                  s.line, s.col),
+                                  s.line, s.col);
         ++r.writes;
         check_expr(*s.value, r, top_level);
         return;
@@ -503,23 +525,21 @@ class Compiler {
         // *widest* arm, not the sum (the sequencing logic selects which
         // operations fire).
         BlockResources then_r, else_r;
-        for (const auto& t : s.then_body) check_stmt(*t, then_r, false);
-        for (const auto& t : s.else_body) check_stmt(*t, else_r, false);
-        merge_max(r, then_r, else_r);
+        for (auto& t : s.then_body) check_stmt(*t, then_r, false);
+        for (auto& t : s.else_body) check_stmt(*t, else_r, false);
+        max_into(then_r, else_r);
+        add_into(r, then_r);
         return;
       }
       case Stmt::Kind::kSwitch: {
         // Multi-way branch: the sequencing logic selects among at most
         // eight targets per instruction (§2.2).
-        const std::size_t targets =
-            s.cases.size() + (s.default_body.empty() ? 1 : 1);
         if (s.cases.size() + 1 > 8) {
           throw CompileError(
               "switch has more than 8 targets (one instruction's "
               "multi-way branch limit)",
               s.line, s.col);
         }
-        (void)targets;
         for (std::size_t i = 0; i < s.cases.size(); ++i) {
           for (std::size_t j = i + 1; j < s.cases.size(); ++j) {
             if (s.cases[i].value == s.cases[j].value) {
@@ -532,42 +552,38 @@ class Compiler {
         ++r.alu_ops;
         check_expr(*s.cond, r, false);
         BlockResources widest;
-        for (const auto& arm : s.cases) {
+        for (auto& arm : s.cases) {
           BlockResources arm_r;
-          for (const auto& t : arm.body) check_stmt(*t, arm_r, false);
+          for (auto& t : arm.body) check_stmt(*t, arm_r, false);
           max_into(widest, arm_r);
         }
         BlockResources def_r;
-        for (const auto& t : s.default_body) check_stmt(*t, def_r, false);
+        for (auto& t : s.default_body) check_stmt(*t, def_r, false);
         max_into(widest, def_r);
-        merge_max(r, widest, BlockResources{});
+        add_into(r, widest);
         return;
       }
       case Stmt::Kind::kGoto:
-      case Stmt::Kind::kCall:
-        if (!prog_->labels.contains(s.label)) {
+      case Stmt::Kind::kCall: {
+        auto it = prog_->labels.find(s.label);
+        if (it == prog_->labels.end()) {
           throw CompileError("undefined label '" + s.label + "'", s.line,
                              s.col);
         }
+        s.target_block = it->second;
         return;
+      }
       case Stmt::Kind::kReturn:
         return;
       case Stmt::Kind::kIntrinsic: {
-        const IntrinsicInfo* info = intrinsic_info(s.name);
-        if (info == nullptr) {
-          throw CompileError("unknown intrinsic '" + s.name + "'", s.line,
-                             s.col);
-        }
+        const IntrinsicInfo* info =
+            resolve_intrinsic(s.name, s.args.size(), s.line, s.col);
         if (info->kind == IntrinsicKind::kSync) {
           throw CompileError("synchronous intrinsic '" + s.name +
                                  "' returns a value; assign it",
                              s.line, s.col);
         }
-        if (static_cast<int>(s.args.size()) != info->arity) {
-          throw CompileError("intrinsic '" + s.name + "' expects " +
-                                 std::to_string(info->arity) + " argument(s)",
-                             s.line, s.col);
-        }
+        s.intrinsic = info;
         if (info->kind == IntrinsicKind::kPosted) ++r.xtxns;
         for (const auto& a : s.args) check_expr(*a, r, false);
         return;
@@ -575,10 +591,10 @@ class Compiler {
     }
   }
 
-  void check_block(const InstrBlock& b, std::size_t index) {
+  void check_block(InstrBlock& b, std::size_t index) {
     bus_defined_.clear();  // bus values die at the instruction boundary
     BlockResources r;
-    for (const auto& s : b.stmts) check_stmt(*s, r, /*top_level=*/true);
+    for (auto& s : b.stmts) check_stmt(*s, r, /*top_level=*/true);
     const auto over = [&](const char* what, int used, int limit) {
       throw CompileError(
           "instruction '" + b.label + "' does not fit: " + what + " used " +

@@ -17,11 +17,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "microcode/ast.hpp"
+#include "trio/xtxn.hpp"
 
 namespace microcode {
 
@@ -56,13 +59,54 @@ enum class IntrinsicKind {
   kAction,  // packet action (Forward, Drop, Exit)
 };
 
-struct IntrinsicInfo {
-  IntrinsicKind kind;
-  int arity;
+/// How an intrinsic's evaluated arguments become an XtxnRequest (or, for
+/// actions, what the thread does).
+enum class OperandForm {
+  kEnd,       // Drop() / Exit(): end the thread
+  kNexthop,   // Forward(nexthop): unload the head and emit the packet
+  kCounter,   // (word_addr, bytes): addr = word_addr * 8, arg0 = bytes
+  kAddrArg,   // (addr, v): addr, arg0 -- the RMWs and the policer
+  kWrite64,   // (addr, value): 8-byte little-endian payload
+  kRead64,    // (addr): 8-byte read
+  kKey,       // (key): arg0
+  kKeyValue,  // (key, value): arg0, arg1
+  kReadVec,   // (addr, lmem_off, len): the reply lands in LMEM at lmem_off
+  kLmemVec,   // (addr, lmem_off, len): the payload is LMEM[lmem_off, +len)
+  kFill32,    // (addr, word32, len): `word32` repeated over len bytes
 };
 
-/// Looks up a known intrinsic; nullptr when unknown.
-const IntrinsicInfo* intrinsic_info(const std::string& name);
+/// What a synchronous intrinsic's reply assigns to its target.
+enum class ReplyForm {
+  kNone,    // posted XTXNs and actions: no reply
+  kValue,   // reply.value
+  kOk,      // 1 if reply.ok, else 0
+  kLe64,    // the reply's first 8 data bytes, little-endian
+  kToLmem,  // copies the data into LMEM; the byte count moved
+};
+
+/// One row of the intrinsic table: the single definition of an intrinsic
+/// for both the compiler (kind, arity) and the interpreter (op, operand
+/// and reply decoding).
+struct IntrinsicInfo {
+  std::string_view name;
+  IntrinsicKind kind;
+  int arity;
+  trio::XtxnOp op;  // unused by actions
+  OperandForm operands;
+  ReplyForm reply;
+};
+
+/// Largest arity in the intrinsic table.
+constexpr int kMaxIntrinsicArity = 3;
+
+/// Every intrinsic the compiler accepts.
+std::span<const IntrinsicInfo> intrinsics();
+
+/// The ALU's operators on 64-bit values, shared by constant folding and
+/// the interpreter. The caller rejects a zero divisor; kLAnd / kLOr here
+/// do not short-circuit.
+std::uint64_t apply(UnOp op, std::uint64_t v);
+std::uint64_t apply(BinOp op, std::uint64_t a, std::uint64_t b);
 
 /// Per-block resource usage, reported for introspection and enforced
 /// against InstructionLimits.
@@ -75,6 +119,12 @@ struct BlockResources {
 };
 
 struct CompiledProgram {
+  CompiledProgram() = default;
+  // The AST's resolved names point into this object's `vars` and
+  // `module.structs` (ast.hpp), so a copy would point into the original.
+  CompiledProgram(const CompiledProgram&) = delete;
+  CompiledProgram& operator=(const CompiledProgram&) = delete;
+
   Module module;  // owns the AST the interpreter walks
   std::unordered_map<std::string, const StructDef*> structs;
   std::unordered_map<std::string, Location> vars;
@@ -82,7 +132,7 @@ struct CompiledProgram {
   std::vector<BlockResources> resources;  // parallel to module.blocks
   /// Register/LMEM initial values applied when a thread starts
   /// (compile-time-constant global initializers).
-  std::vector<std::pair<std::string, std::uint64_t>> initial_values;
+  std::vector<std::pair<const Location*, std::uint64_t>> initial_values;
   /// First LMEM byte available to variables (after the packet-head area —
   /// the binary "defines required symbols, such as the address in local
   /// memory where the packet header starts").
@@ -93,7 +143,6 @@ struct CompiledProgram {
   int bus_slots = 0;
 
   std::size_t instruction_count() const { return module.blocks.size(); }
-  const Location& location(const std::string& name) const;
 };
 
 /// Compiles complete Microcode source. Throws CompileError on any error.

@@ -1,6 +1,7 @@
 #include "microcode/interpreter.hpp"
 
 #include <stdexcept>
+#include <tuple>
 
 #include "microcode/bitfield.hpp"
 
@@ -61,31 +62,15 @@ void MicrocodeThread::store(const Location& loc, std::uint64_t v,
 std::uint64_t MicrocodeThread::eval(const Expr& e, trio::ThreadContext& ctx) {
   switch (e.kind) {
     case Expr::Kind::kNumber:
-      return e.number;
     case Expr::Kind::kSizeof:
-      return prog_->structs.at(e.name)->size_bytes();
+      return e.number;
     case Expr::Kind::kVar:
-      return load(prog_->location(e.name), ctx);
-    case Expr::Kind::kField: {
-      if (!e.arrow) {
-        auto dotted = prog_->vars.find(e.name + "." + e.field);
-        if (dotted != prog_->vars.end()) return load(dotted->second, ctx);
-      }
-      const Location& base = prog_->location(e.name);
-      const StructField* f = base.type->find_field(e.field);
-      const std::size_t base_bytes =
-          e.arrow ? load(base, ctx) : base.lmem_offset;
-      return read_bits(ctx.lmem, base_bytes * 8 + f->bit_offset, f->width);
-    }
-    case Expr::Kind::kUnary: {
-      const std::uint64_t v = eval(*e.lhs, ctx);
-      switch (e.un) {
-        case UnOp::kNeg: return ~v + 1;
-        case UnOp::kLNot: return v == 0 ? 1 : 0;
-        case UnOp::kBitNot: return ~v;
-      }
-      return 0;
-    }
+      return load(*e.loc, ctx);
+    case Expr::Kind::kField:
+      if (e.fld == nullptr) return load(*e.loc, ctx);  // dotted builtin
+      return read_bits(ctx.lmem, field_bit(e, ctx), e.fld->width);
+    case Expr::Kind::kUnary:
+      return apply(e.un, eval(*e.lhs, ctx));
     case Expr::Kind::kBinary: {
       // Short-circuit forms first.
       if (e.bin == BinOp::kLAnd) {
@@ -96,40 +81,14 @@ std::uint64_t MicrocodeThread::eval(const Expr& e, trio::ThreadContext& ctx) {
       }
       const std::uint64_t a = eval(*e.lhs, ctx);
       const std::uint64_t b = eval(*e.rhs, ctx);
-      switch (e.bin) {
-        case BinOp::kAdd: return a + b;
-        case BinOp::kSub: return a - b;
-        case BinOp::kMul: return a * b;
-        case BinOp::kDiv:
-          if (b == 0) trap("division by zero", e.line, e.col);
-          return a / b;
-        case BinOp::kMod:
-          if (b == 0) trap("modulo by zero", e.line, e.col);
-          return a % b;
-        case BinOp::kAnd: return a & b;
-        case BinOp::kOr: return a | b;
-        case BinOp::kXor: return a ^ b;
-        case BinOp::kShl: return b >= 64 ? 0 : a << b;
-        case BinOp::kShr: return b >= 64 ? 0 : a >> b;
-        case BinOp::kEq: return a == b;
-        case BinOp::kNe: return a != b;
-        case BinOp::kLt: return a < b;
-        case BinOp::kLe: return a <= b;
-        case BinOp::kGt: return a > b;
-        case BinOp::kGe: return a >= b;
-        default: return 0;
-      }
-    }
-    case Expr::Kind::kIndex: {
-      const Location& base = prog_->location(e.name);
-      const std::uint64_t idx = eval(*e.lhs, ctx);
-      if (idx >= base.array_len) {
-        trap("array index " + std::to_string(idx) + " out of bounds (len " +
-                 std::to_string(base.array_len) + ")",
+      if (b == 0 && (e.bin == BinOp::kDiv || e.bin == BinOp::kMod)) {
+        trap(e.bin == BinOp::kDiv ? "division by zero" : "modulo by zero",
              e.line, e.col);
       }
-      return ctx.lmem.u64(base.lmem_offset + idx * 8);
+      return apply(e.bin, a, b);
     }
+    case Expr::Kind::kIndex:
+      return ctx.lmem.u64(element_offset(e, ctx));
     case Expr::Kind::kIntrinsic:
       throw std::logic_error(
           "sync intrinsic evaluated outside assignment (compiler bug)");
@@ -137,181 +96,173 @@ std::uint64_t MicrocodeThread::eval(const Expr& e, trio::ThreadContext& ctx) {
   return 0;
 }
 
-void MicrocodeThread::assign(const Expr& target, std::uint64_t v,
-                             trio::ThreadContext& ctx) {
-  if (target.kind == Expr::Kind::kVar) {
-    store(prog_->location(target.name), v, ctx);
-    return;
+MicrocodeThread::Args MicrocodeThread::eval_args(
+    const std::vector<ExprPtr>& exprs, trio::ThreadContext& ctx) {
+  Args args{};
+  for (std::size_t i = 0; i < exprs.size(); ++i) {
+    args[i] = eval(*exprs[i], ctx);
   }
-  if (target.kind == Expr::Kind::kIndex) {
-    const Location& base = prog_->location(target.name);
-    const std::uint64_t idx = eval(*target.lhs, ctx);
-    if (idx >= base.array_len) {
-      trap("array index " + std::to_string(idx) + " out of bounds (len " +
-               std::to_string(base.array_len) + ")",
-           target.line, target.col);
-    }
-    ctx.lmem.set_u64(base.lmem_offset + idx * 8, v);
-    return;
-  }
-  const Location& base = prog_->location(target.name);
-  const StructField* f = base.type->find_field(target.field);
-  const std::size_t base_bytes =
-      target.arrow ? load(base, ctx) : base.lmem_offset;
-  write_bits(ctx.lmem, base_bytes * 8 + f->bit_offset, f->width, v);
+  return args;
 }
 
-trio::XtxnRequest MicrocodeThread::build_request(
-    const std::string& name, const std::vector<std::uint64_t>& args, int line,
-    int col, trio::ThreadContext& ctx) {
-  // (addr, lmem_off, len_bytes) vector forms: the payload is read out of
-  // the thread's LMEM at issue time, like the hardware's operand fetch.
-  const auto lmem_payload = [&](trio::XtxnRequest& r) {
-    const std::uint64_t off = args[1];
-    const std::uint64_t len = args[2];
-    if (off + len > ctx.lmem.size()) {
-      trap("vector intrinsic LMEM range [" + std::to_string(off) + ", " +
-               std::to_string(off + len) + ") exceeds LMEM size " +
-               std::to_string(ctx.lmem.size()),
+std::size_t MicrocodeThread::element_offset(const Expr& e,
+                                            trio::ThreadContext& ctx) {
+  const std::uint64_t idx = eval(*e.lhs, ctx);
+  if (idx >= e.loc->array_len) {
+    trap("array index " + std::to_string(idx) + " out of bounds (len " +
+             std::to_string(e.loc->array_len) + ")",
+         e.line, e.col);
+  }
+  return e.loc->lmem_offset + idx * 8;
+}
+
+std::size_t MicrocodeThread::field_bit(const Expr& e,
+                                       trio::ThreadContext& ctx) const {
+  const std::size_t base_bytes =
+      e.arrow ? load(*e.loc, ctx) : e.loc->lmem_offset;
+  return base_bytes * 8 + e.fld->bit_offset;
+}
+
+void MicrocodeThread::assign(const Expr& target, std::uint64_t v,
+                             trio::ThreadContext& ctx) {
+  switch (target.kind) {
+    case Expr::Kind::kVar:
+      store(*target.loc, v, ctx);
+      return;
+    case Expr::Kind::kIndex:
+      ctx.lmem.set_u64(element_offset(target, ctx), v);
+      return;
+    default:  // kField
+      write_bits(ctx.lmem, field_bit(target, ctx), target.fld->width, v);
+      return;
+  }
+}
+
+void MicrocodeThread::complete(const Stmt& s, std::uint64_t v,
+                               trio::ThreadContext& ctx) {
+  if (s.kind == Stmt::Kind::kAssign) {
+    assign(*s.target, v, ctx);
+  } else {
+    store(*s.loc, v, ctx);
+  }
+}
+
+trio::XtxnRequest MicrocodeThread::build_request(const IntrinsicInfo& in,
+                                                 const Args& a, int line,
+                                                 int col,
+                                                 trio::ThreadContext& ctx) {
+  // The vector forms' LMEM range is checked at issue time, like the
+  // hardware's operand fetch; the form of the test keeps a range that
+  // wraps around 2^64 from slipping past it.
+  const std::size_t lmem_size = ctx.lmem.size();
+  const auto check_lmem_range = [&](std::uint64_t off, std::uint64_t len) {
+    if (off > lmem_size || len > lmem_size - off) {
+      trap(std::string(in.name) + " LMEM range of " + std::to_string(len) +
+               " bytes at offset " + std::to_string(off) +
+               " exceeds LMEM size " + std::to_string(lmem_size),
            line, col);
     }
-    r.addr = args[0];
-    r.data.assign(ctx.lmem.view(off, len));
   };
   trio::XtxnRequest req;
-  if (name == "CounterIncPhys") {
-    // Counter addresses are in 8-byte words (Fig 6: adjacent 16-byte
-    // counters are 2 words apart).
-    req.op = trio::XtxnOp::kCounterInc;
-    req.addr = args[0] * 8;
-    req.arg0 = args[1];
-  } else if (name == "SmsWrite64") {
-    req.op = trio::XtxnOp::kWrite;
-    req.addr = args[0];
-    req.data.resize(8);
-    for (int i = 0; i < 8; ++i) {
-      req.data[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(args[1] >> (8 * i));
-    }
-  } else if (name == "SmsRead64") {
-    req.op = trio::XtxnOp::kRead;
-    req.addr = args[0];
-    req.len = 8;
-  } else if (name == "FetchAdd32") {
-    req.op = trio::XtxnOp::kFetchAdd32;
-    req.addr = args[0];
-    req.arg0 = args[1];
-  } else if (name == "FetchOr64") {
-    req.op = trio::XtxnOp::kFetchOr64;
-    req.addr = args[0];
-    req.arg0 = args[1];
-  } else if (name == "FetchSwap64") {
-    req.op = trio::XtxnOp::kFetchSwap64;
-    req.addr = args[0];
-    req.arg0 = args[1];
-  } else if (name == "HashLookup") {
-    req.op = trio::XtxnOp::kHashLookup;
-    req.arg0 = args[0];
-  } else if (name == "HashInsert") {
-    req.op = trio::XtxnOp::kHashInsert;
-    req.arg0 = args[0];
-    req.arg1 = args[1];
-  } else if (name == "HashDelete") {
-    req.op = trio::XtxnOp::kHashDelete;
-    req.arg0 = args[0];
-  } else if (name == "SmsReadVec") {
-    req.op = trio::XtxnOp::kRead;
-    req.addr = args[0];
-    req.len = static_cast<std::uint32_t>(args[2]);
-    if (args[1] + args[2] > ctx.lmem.size()) {
-      trap("SmsReadVec LMEM range exceeds LMEM size", line, col);
-    }
-    pending_vec_off_ = static_cast<std::size_t>(args[1]);
-  } else if (name == "SmsWriteVec") {
-    req.op = trio::XtxnOp::kWrite;
-    lmem_payload(req);
-  } else if (name == "SmsFill32") {
-    // (addr, word32, len_bytes): write `word32` repeated — the datapath's
-    // buffer-reset primitive (0 for sum/majority, ~0 for min presets).
-    req.op = trio::XtxnOp::kWrite;
-    req.addr = args[0];
-    req.data.resize(args[2]);
-    for (std::size_t i = 0; i < req.data.size(); ++i) {
-      req.data[i] = static_cast<std::uint8_t>(args[1] >> (8 * (i % 4)));
-    }
-  } else if (name == "AddVec32") {
-    req.op = trio::XtxnOp::kAddVec32;
-    lmem_payload(req);
-  } else if (name == "MinVec32") {
-    req.op = trio::XtxnOp::kMinVec32;
-    lmem_payload(req);
-  } else if (name == "VoteVec32") {
-    req.op = trio::XtxnOp::kVoteVec32;
-    lmem_payload(req);
-  } else if (name == "PolicerCheck") {
-    req.op = trio::XtxnOp::kPolicerCheck;
-    req.addr = args[0];
-    req.arg0 = args[1];
-  } else {
-    trap("unknown XTXN intrinsic '" + name + "'", line, col);
+  req.op = in.op;
+  switch (in.operands) {
+    case OperandForm::kCounter:
+      // Counter addresses are in 8-byte words (Fig 6: adjacent 16-byte
+      // counters are 2 words apart).
+      req.addr = a[0] * 8;
+      req.arg0 = a[1];
+      break;
+    case OperandForm::kAddrArg:
+      req.addr = a[0];
+      req.arg0 = a[1];
+      break;
+    case OperandForm::kWrite64:
+      req.addr = a[0];
+      req.data.resize(8);
+      for (std::size_t i = 0; i < 8; ++i) {
+        req.data[i] = static_cast<std::uint8_t>(a[1] >> (8 * i));
+      }
+      break;
+    case OperandForm::kRead64:
+      req.addr = a[0];
+      req.len = 8;
+      break;
+    case OperandForm::kKeyValue:
+      req.arg1 = a[1];
+      [[fallthrough]];
+    case OperandForm::kKey:
+      req.arg0 = a[0];
+      break;
+    case OperandForm::kReadVec:
+      check_lmem_range(a[1], a[2]);
+      req.addr = a[0];
+      req.len = static_cast<std::uint32_t>(a[2]);
+      pending_vec_off_ = static_cast<std::size_t>(a[1]);
+      break;
+    case OperandForm::kLmemVec:
+      check_lmem_range(a[1], a[2]);
+      req.addr = a[0];
+      req.data.assign(ctx.lmem.view(a[1], a[2]));
+      break;
+    case OperandForm::kFill32:
+      // The datapath's buffer-reset primitive (0 for sum/majority, ~0 for
+      // min presets), bounded by the LMEM size like the other vector forms.
+      if (a[2] > lmem_size) {
+        trap(std::string(in.name) + " length " + std::to_string(a[2]) +
+                 " exceeds LMEM size " + std::to_string(lmem_size),
+             line, col);
+      }
+      req.addr = a[0];
+      req.data.resize(a[2]);
+      for (std::size_t i = 0; i < req.data.size(); ++i) {
+        req.data[i] = static_cast<std::uint8_t>(a[1] >> (8 * (i % 4)));
+      }
+      break;
+    case OperandForm::kEnd:
+    case OperandForm::kNexthop:
+      throw std::logic_error("action issued as an XTXN (compiler bug)");
   }
   return req;
 }
 
-std::uint64_t MicrocodeThread::reply_value(
-    const trio::XtxnReply& reply, trio::ThreadContext& ctx) const {
-  if (pending_intrinsic_ == "SmsRead64") {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = v << 8 |
-          (static_cast<std::size_t>(i) < reply.data.size()
-               ? reply.data[static_cast<std::size_t>(i)]
-               : 0);
+std::uint64_t MicrocodeThread::reply_value(const IntrinsicInfo& in,
+                                           const trio::XtxnReply& reply,
+                                           trio::ThreadContext& ctx) const {
+  switch (in.reply) {
+    case ReplyForm::kLe64: {
+      std::uint64_t v = 0;
+      for (std::size_t i = 8; i-- > 0;) {
+        v = v << 8 | (i < reply.data.size() ? reply.data[i] : 0);
+      }
+      return v;
     }
-    return v;
+    case ReplyForm::kToLmem:
+      // Land the payload in LMEM at the offset captured at issue time; the
+      // assignment target receives the byte count moved.
+      ctx.lmem.write(pending_vec_off_, reply.data);
+      return reply.data.size();
+    case ReplyForm::kOk:
+      return reply.ok ? 1 : 0;
+    default:
+      return reply.value;
   }
-  if (pending_intrinsic_ == "SmsReadVec") {
-    // Land the payload in LMEM at the offset captured at issue time; the
-    // assignment target receives the byte count moved.
-    ctx.lmem.write(pending_vec_off_, reply.data);
-    return reply.data.size();
-  }
-  if (pending_intrinsic_ == "HashInsert" ||
-      pending_intrinsic_ == "HashDelete") {
-    return reply.ok ? 1 : 0;
-  }
-  return reply.value;
 }
 
 MicrocodeThread::Control MicrocodeThread::exec_stmt(
-    const Stmt& s, bool top_level, trio::ThreadContext& ctx) {
+    const Stmt& s, trio::ThreadContext& ctx) {
   switch (s.kind) {
     case Stmt::Kind::kAssign:
     case Stmt::Kind::kLocalDecl: {
-      const Expr* value = s.value.get();
-      if (value->kind == Expr::Kind::kIntrinsic) {
+      const Expr& value = *s.value;
+      if (value.kind == Expr::Kind::kIntrinsic) {
         // Synchronous XTXN: suspend; the assignment completes on resume.
-        std::vector<std::uint64_t> args;
-        args.reserve(value->args.size());
-        for (const auto& a : value->args) args.push_back(eval(*a, ctx));
-        Control c;
-        c.kind = Control::Kind::kSync;
-        c.sync_req =
-            build_request(value->name, args, value->line, value->col, ctx);
-        pending_intrinsic_ = value->name;
-        if (s.kind == Stmt::Kind::kAssign) {
-          pending_target_ = s.target.get();
-        } else {
-          pending_local_ = &s;
-        }
+        Control c{Control::Kind::kSync, 0,
+                  build_request(*value.intrinsic, eval_args(value.args, ctx),
+                                value.line, value.col, ctx)};
+        pending_ = &s;
         return c;
       }
-      const std::uint64_t v = eval(*value, ctx);
-      if (s.kind == Stmt::Kind::kAssign) {
-        assign(*s.target, v, ctx);
-      } else {
-        store(prog_->location(s.name), v, ctx);
-      }
+      complete(s, eval(value, ctx), ctx);
       return {};
     }
     case Stmt::Kind::kIf: {
@@ -326,59 +277,37 @@ MicrocodeThread::Control MicrocodeThread::exec_stmt(
       }
       return exec_stmts(s.default_body, 0, false, ctx);
     }
-    case Stmt::Kind::kGoto: {
-      Control c;
-      c.kind = Control::Kind::kGoto;
-      c.target = prog_->labels.at(s.label);
-      return c;
-    }
-    case Stmt::Kind::kCall: {
+    case Stmt::Kind::kGoto:
+      return {Control::Kind::kGoto, s.target_block};
+    case Stmt::Kind::kCall:
       if (call_stack_.size() >= 8) {
         trap("call depth exceeds 8 (hardware limit)", s.line, s.col);
       }
-      Control c;
-      c.kind = Control::Kind::kCallXfer;
-      c.target = prog_->labels.at(s.label);
-      return c;
-    }
-    case Stmt::Kind::kReturn: {
+      return {Control::Kind::kCallXfer, s.target_block};
+    case Stmt::Kind::kReturn:
       if (call_stack_.empty()) {
         trap("return without call", s.line, s.col);
       }
-      Control c;
-      c.kind = Control::Kind::kReturnXfer;
-      return c;
-    }
+      return {Control::Kind::kReturnXfer};
     case Stmt::Kind::kIntrinsic: {
-      if (s.name == "Exit" || s.name == "Drop") {
-        Control c;
-        c.kind = Control::Kind::kExit;
-        return c;
-      }
-      std::vector<std::uint64_t> args;
-      args.reserve(s.args.size());
-      for (const auto& a : s.args) args.push_back(eval(*a, ctx));
-      if (s.name == "Forward") {
+      const IntrinsicInfo& in = *s.intrinsic;
+      if (in.operands == OperandForm::kEnd) return {Control::Kind::kExit};
+      const Args args = eval_args(s.args, ctx);
+      if (in.operands == OperandForm::kNexthop) {
         // Unload the modified head from LMEM back into the frame (§2.2)
         // and hand the packet to forwarding.
         if (!ctx.packet) trap("Forward() on a packet-less thread", s.line, s.col);
         const std::size_t head = ctx.packet->head_size();
         ctx.packet->frame().write(0, ctx.lmem.view(0, head));
-        trio::ActEmitPacket emit;
-        emit.pkt = ctx.packet;
-        emit.nexthop_id = static_cast<std::uint32_t>(args[0]);
-        emit.instructions = 0;
-        drained_.push_back(std::move(emit));
+        drained_.push_back(trio::ActEmitPacket{
+            ctx.packet, static_cast<std::uint32_t>(args[0]), 0});
         return {};
       }
-      trio::ActAsyncXtxn ax;
-      ax.req = build_request(s.name, args, s.line, s.col, ctx);
-      ax.instructions = 0;
-      drained_.push_back(std::move(ax));
+      drained_.push_back(trio::ActAsyncXtxn{
+          build_request(in, args, s.line, s.col, ctx), 0});
       return {};
     }
   }
-  (void)top_level;
   return {};
 }
 
@@ -387,86 +316,57 @@ MicrocodeThread::Control MicrocodeThread::exec_stmts(
     trio::ThreadContext& ctx) {
   for (std::size_t i = from; i < stmts.size(); ++i) {
     if (top_level) stmt_idx_ = i;
-    Control c = exec_stmt(*stmts[i], top_level, ctx);
+    Control c = exec_stmt(*stmts[i], ctx);
     if (c.kind != Control::Kind::kFallthrough) return c;
   }
   return {};
 }
 
-MicrocodeThread::Control MicrocodeThread::exec_block(
-    trio::ThreadContext& ctx) {
-  const auto& block = prog_->module.blocks[pc_];
-  return exec_stmts(block.stmts, stmt_idx_, true, ctx);
-}
-
 trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
-  if (!drained_.empty()) {
-    trio::Action a = std::move(drained_.front());
-    drained_.erase(drained_.begin());
-    return a;
-  }
+  if (!drained_.empty()) return drained_.pop_front();
   if (exited_) return trio::ActExit{0};
   if (!started_) {
     started_ = true;
-    for (const auto& [name, value] : prog_->initial_values) {
-      store(prog_->location(name), value, ctx);
+    for (const auto& [loc, value] : prog_->initial_values) {
+      store(*loc, value, ctx);
     }
   }
-  if (pending_target_ != nullptr || pending_local_ != nullptr) {
-    const std::uint64_t v = reply_value(ctx.reply, ctx);
-    if (pending_target_ != nullptr) {
-      assign(*pending_target_, v, ctx);
-      pending_target_ = nullptr;
-    } else {
-      store(prog_->location(pending_local_->name), v, ctx);
-      pending_local_ = nullptr;
-    }
+  if (pending_ != nullptr) {
+    complete(*pending_,
+             reply_value(*pending_->value->intrinsic, ctx.reply, ctx), ctx);
+    pending_ = nullptr;
     ++stmt_idx_;  // the assignment's statement is complete
   }
 
-  Control c = exec_block(ctx);
+  Control c = exec_stmts(prog_->module.blocks[pc_].stmts, stmt_idx_,
+                         /*top_level=*/true, ctx);
 
   // Translate the block's control transfer into the primary action; any
   // posted XTXNs / emits collected in drained_ follow as zero-instruction
   // actions (they belong to this same micro-instruction).
-  trio::Action primary;
+  trio::Action primary = trio::ActContinue{1};
   switch (c.kind) {
     case Control::Kind::kFallthrough:
-      ++pc_;
       stmt_idx_ = 0;
-      if (pc_ >= prog_->module.blocks.size()) {
+      if (++pc_ >= prog_->module.blocks.size()) {
         exited_ = true;
         primary = trio::ActExit{1};
-      } else {
-        primary = trio::ActContinue{1};
       }
-      break;
-    case Control::Kind::kGoto:
-      pc_ = c.target;
-      stmt_idx_ = 0;
-      primary = trio::ActContinue{1};
       break;
     case Control::Kind::kCallXfer:
       call_stack_.emplace_back(pc_, stmt_idx_ + 1);
+      [[fallthrough]];
+    case Control::Kind::kGoto:
       pc_ = c.target;
       stmt_idx_ = 0;
-      primary = trio::ActContinue{1};
       break;
-    case Control::Kind::kReturnXfer: {
-      auto [rp, ri] = call_stack_.back();
+    case Control::Kind::kReturnXfer:
+      std::tie(pc_, stmt_idx_) = call_stack_.back();
       call_stack_.pop_back();
-      pc_ = rp;
-      stmt_idx_ = ri;
-      primary = trio::ActContinue{1};
       break;
-    }
-    case Control::Kind::kSync: {
-      trio::ActSyncXtxn sx;
-      sx.req = std::move(c.sync_req);
-      sx.instructions = 1;
-      primary = std::move(sx);
+    case Control::Kind::kSync:
+      primary = trio::ActSyncXtxn{std::move(c.sync_req), 1};
       break;
-    }
     case Control::Kind::kExit:
       exited_ = true;
       primary = trio::ActExit{1};
@@ -477,13 +377,10 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
     // Emit/posted actions first (they happen inside the instruction),
     // then the control action. Charge the single instruction on the first
     // action returned.
+    std::visit([](auto& a) { a.instructions = 0; }, primary);
     drained_.push_back(std::move(primary));
-    trio::Action first = std::move(drained_.front());
-    drained_.erase(drained_.begin());
+    trio::Action first = drained_.pop_front();
     std::visit([](auto& a) { a.instructions = 1; }, first);
-    for (auto& rest : drained_) {
-      std::visit([](auto& a) { a.instructions = 0; }, rest);
-    }
     return first;
   }
   return primary;

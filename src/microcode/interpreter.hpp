@@ -9,6 +9,7 @@
 // one, and Exit()/Drop() destroy the thread.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,6 +28,8 @@ class MicrocodeThread : public trio::PpeProgram {
   std::size_t pc() const { return pc_; }
 
  private:
+  using Args = std::array<std::uint64_t, kMaxIntrinsicArity>;
+
   // Result of running one block to its control transfer.
   struct Control {
     enum class Kind {
@@ -34,24 +37,29 @@ class MicrocodeThread : public trio::PpeProgram {
     };
     Kind kind = Kind::kFallthrough;
     std::size_t target = 0;          // kGoto / kCallXfer
-    trio::XtxnRequest sync_req;      // kSync
+    trio::XtxnRequest sync_req{};    // kSync
   };
 
-  Control exec_block(trio::ThreadContext& ctx);
   Control exec_stmts(const std::vector<StmtPtr>& stmts, std::size_t from,
                      bool top_level, trio::ThreadContext& ctx);
-  Control exec_stmt(const Stmt& s, bool top_level, trio::ThreadContext& ctx);
+  Control exec_stmt(const Stmt& s, trio::ThreadContext& ctx);
+  /// Stores `v` into the target of an assignment or local declaration.
+  void complete(const Stmt& s, std::uint64_t v, trio::ThreadContext& ctx);
 
   std::uint64_t eval(const Expr& e, trio::ThreadContext& ctx);
+  Args eval_args(const std::vector<ExprPtr>& exprs, trio::ThreadContext& ctx);
   std::uint64_t load(const Location& loc, trio::ThreadContext& ctx) const;
   void store(const Location& loc, std::uint64_t v,
              trio::ThreadContext& ctx) const;
   void assign(const Expr& target, std::uint64_t v, trio::ThreadContext& ctx);
-  trio::XtxnRequest build_request(const std::string& name,
-                                  const std::vector<std::uint64_t>& args,
-                                  int line, int col,
-                                  trio::ThreadContext& ctx);
-  std::uint64_t reply_value(const trio::XtxnReply& reply,
+  /// LMEM byte offset of array element `e` (kIndex), bounds-checked.
+  std::size_t element_offset(const Expr& e, trio::ThreadContext& ctx);
+  /// LMEM bit offset of struct field `e` (kField).
+  std::size_t field_bit(const Expr& e, trio::ThreadContext& ctx) const;
+  trio::XtxnRequest build_request(const IntrinsicInfo& in, const Args& args,
+                                  int line, int col, trio::ThreadContext& ctx);
+  std::uint64_t reply_value(const IntrinsicInfo& in,
+                            const trio::XtxnReply& reply,
                             trio::ThreadContext& ctx) const;
 
   std::shared_ptr<const CompiledProgram> prog_;
@@ -60,17 +68,15 @@ class MicrocodeThread : public trio::PpeProgram {
   bool started_ = false;
   bool exited_ = false;
 
-  // Synchronous-XTXN continuation: either an assignment target expression
-  // or a local declaration awaiting the reply value.
-  const Expr* pending_target_ = nullptr;
-  const Stmt* pending_local_ = nullptr;
-  std::string pending_intrinsic_;
+  // Synchronous-XTXN continuation: the assignment or local declaration
+  // awaiting the reply value.
+  const Stmt* pending_ = nullptr;
   // SmsReadVec continuation: LMEM offset the reply payload lands at.
   std::size_t pending_vec_off_ = 0;
 
   // Posted XTXNs / emits produced by the current block, drained as
   // zero-instruction actions after the block's own instruction charge.
-  std::vector<trio::Action> drained_;
+  trio::ActionQueue drained_;
 
   std::vector<std::pair<std::size_t, std::size_t>> call_stack_;
 

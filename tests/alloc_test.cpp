@@ -13,6 +13,8 @@
 #include <new>
 #include <vector>
 
+#include "microcode/compiler.hpp"
+#include "microcode/interpreter.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "sim/shard.hpp"
@@ -298,6 +300,75 @@ TEST(AllocCount, TrioMlAggregationSteadyStateStaysUnderBudget) {
   ASSERT_EQ(packets, kWorkers * kBlocks);
   const std::uint64_t per_packet = (allocs() - before) / packets;
   EXPECT_LE(per_packet, 7u)
+      << "per-packet allocation budget regressed: " << per_packet;
+}
+
+TEST(AllocCount, MicrocodeFilterSteadyStateStaysUnderBudget) {
+  // The §3.2 filter (the source of bench/micro_substrates.cpp's
+  // BM_MicrocodeFilterProgram), compiled and run per packet through
+  // make_program_factory. IPv4 packets are forwarded; the others are
+  // counted with CounterIncPhys and dropped. Past the router's own
+  // per-packet cost, which includes the program itself, the action queue
+  // that carries a block's emit or posted XTXN allocates as it grows.
+  // Names are resolved at compile time and intrinsic operands live in a
+  // fixed array, so neither allocates.
+  static const char* kFilter = R"(
+    struct ether_t { dmac : 48; smac : 48; etype : 16; };
+    struct ipv4_t { ver : 4; ihl : 4; tos : 8; len : 16; };
+    virtual const DROP_CNT_BASE = 64;
+    memory ether_t *ether_ptr = 0;
+    process_ether:
+    begin
+      ir0 = 0;
+      if (ether_ptr->etype == 0x0800) { goto process_ip; }
+      goto count_dropped;
+    end
+    process_ip:
+    begin
+      const ipv4_t *ipv4_addr = ether_ptr + sizeof(ether_t);
+      ir0 = 1;
+      if (ipv4_addr->ver == 4 && ipv4_addr->ihl == 5) { goto fwd; }
+      goto count_dropped;
+    end
+    count_dropped:
+    begin
+      const : addr = DROP_CNT_BASE + ir0 * 2;
+      CounterIncPhys(addr, r_work.pkt_len);
+      goto drop;
+    end
+    fwd:
+    begin
+      Forward(0);
+      Exit();
+    end
+    drop:
+    begin
+      Drop();
+    end
+  )";
+  sim::Simulator sim;
+  trio::Router router(sim, trio::Calibration{}, 1, 2);
+  router.forwarding().add_nexthop(trio::NexthopUnicast{1, {}});
+  int delivered = 0;
+  router.attach_port_sink(1, [&delivered](net::PacketPtr) { ++delivered; });
+  router.pfe(0).set_program_factory(
+      microcode::make_program_factory(microcode::compile(kFilter)));
+  const std::vector<std::uint8_t> payload(64, 0);
+  auto inject = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      net::PacketPtr pkt = make_test_packet(payload);
+      if (i % 2 == 1) pkt->frame().set_u16(12, 0x0806);  // ARP: dropped
+      router.receive(std::move(pkt), 0);
+    }
+    sim.run();
+  };
+  inject(256);  // warm-up
+  const int warm_delivered = delivered;
+  const std::uint64_t before = allocs();
+  inject(1024);
+  const std::uint64_t per_packet = (allocs() - before) / 1024;
+  EXPECT_EQ(delivered - warm_delivered, 512);
+  EXPECT_LE(per_packet, 6u)
       << "per-packet allocation budget regressed: " << per_packet;
 }
 

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string_view>
+
 #include "microcode/bitfield.hpp"
 #include "microcode/compiler.hpp"
 #include "microcode/error.hpp"
 #include "microcode/interpreter.hpp"
 #include "microcode/lexer.hpp"
 #include "microcode/parser.hpp"
+#include "microcode/vmx.hpp"
 #include "trio/router.hpp"
 
 namespace {
@@ -141,7 +146,7 @@ TEST(Compiler, VirtualConstFolding) {
       Exit();
     end
   )");
-  EXPECT_EQ(p->location("B").const_value, 9u);
+  EXPECT_EQ(p->vars.at("B").const_value, 9u);
 }
 
 TEST(Compiler, SizeofStruct) {
@@ -806,6 +811,241 @@ TEST_F(MicroRunner, HashInsertRefusesDuplicateDeleteReports) {
     end
   )");
   EXPECT_EQ(router.pfe(0).sms().peek_u64(896), 1010u);
+}
+
+// ---------------------------------------------------------------------------
+// Operand bounds: a vector intrinsic's LMEM range and SmsFill32's length
+// are checked against the 1280-byte LMEM at issue time, and a range that
+// wraps around 2^64 traps like any other.
+
+TEST_F(MicroRunner, SmsFill32LongerThanLmemTraps) {
+  EXPECT_THROW(run(R"(
+    main:
+    begin
+      SmsFill32(0, 0, 1281);
+      Exit();
+    end
+  )"),
+               std::runtime_error);
+}
+
+TEST_F(MicroRunner, SmsFill32HugeLengthTrapsBeforeAllocating) {
+  EXPECT_THROW(run(R"(
+    main:
+    begin
+      SmsFill32(0, 0, 3000000000);
+      Exit();
+    end
+  )"),
+               std::runtime_error);
+}
+
+TEST_F(MicroRunner, WrappingLmemPayloadRangeTraps) {
+  EXPECT_THROW(run(R"(
+    main:
+    begin
+      SmsWriteVec(0, 0 - 64, 64);
+      Exit();
+    end
+  )"),
+               std::runtime_error);
+}
+
+TEST_F(MicroRunner, WrappingSmsReadVecRangeTraps) {
+  EXPECT_THROW(run(R"(
+    main:
+    begin
+      ir0 = SmsReadVec(0, 0 - 64, 64);
+      Exit();
+    end
+  )"),
+               std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Every row of the intrinsic table, run through the vMX forwarding plane:
+// one block that calls the intrinsic (and, for a sync one, stores the
+// reply), checked by its shared-memory, hash or forwarding effect.
+
+struct IntrinsicCase {
+  std::string block;  // the body of the program's one instruction
+  std::function<void(microcode::vmx::VirtualForwardingPlane&)> seed;
+  std::function<void(microcode::vmx::VirtualForwardingPlane&,
+                     const microcode::vmx::VirtualForwardingPlane::Verdict&,
+                     const net::Buffer& frame)>
+      check;
+};
+
+std::uint32_t frame_word(const net::Buffer& frame, std::size_t i) {
+  std::uint32_t w = 0;
+  for (std::size_t b = 4; b-- > 0;) w = w << 8 | frame.u8(4 * i + b);
+  return w;
+}
+
+const std::map<std::string_view, IntrinsicCase>& intrinsic_cases() {
+  using Vfp = microcode::vmx::VirtualForwardingPlane;
+  using Verdict = Vfp::Verdict;
+  static const std::map<std::string_view, IntrinsicCase> cases = {
+      {"CounterIncPhys",
+       {"CounterIncPhys(64, r_work.pkt_len); Exit();", nullptr,
+        [](Vfp& v, const Verdict&, const net::Buffer& f) {
+          EXPECT_EQ(v.sms().peek_u64(512), 1u);  // word 64 = byte 512
+          EXPECT_EQ(v.sms().peek_u64(520), f.size());
+        }}},
+      {"SmsWrite64",
+       {"SmsWrite64(512, 0x1122334455667788); Exit();", nullptr,
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(512), 0x1122334455667788u);
+        }}},
+      {"SmsRead64",
+       {"ir0 = SmsRead64(512); SmsWrite64(520, ir0); Exit();",
+        [](Vfp& v) { v.sms().poke_u64(512, 0x0102030405060708u); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 0x0102030405060708u);
+        }}},
+      {"FetchAdd32",
+       {"ir0 = FetchAdd32(512, 5); SmsWrite64(520, ir0); Exit();",
+        [](Vfp& v) { v.sms().poke_u32(512, 10); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 10u);
+          EXPECT_EQ(v.sms().peek_u32(512), 15u);
+        }}},
+      {"FetchOr64",
+       {"ir0 = FetchOr64(512, 6); SmsWrite64(520, ir0); Exit();",
+        [](Vfp& v) { v.sms().poke_u64(512, 9); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 9u);
+          EXPECT_EQ(v.sms().peek_u64(512), 15u);
+        }}},
+      {"FetchSwap64",
+       {"ir0 = FetchSwap64(512, 99); SmsWrite64(520, ir0); Exit();",
+        [](Vfp& v) { v.sms().poke_u64(512, 41); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 41u);
+          EXPECT_EQ(v.sms().peek_u64(512), 99u);
+        }}},
+      {"PolicerCheck",
+       {"ir0 = PolicerCheck(512, 600); SmsWrite64(544, ir0); Exit();",
+        [](Vfp& v) { v.sms().configure_policer(512, {0, 1000}); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(544), 1u);         // conform
+          EXPECT_EQ(v.sms().peek_u64(512 + 16), 400u);  // tokens left
+        }}},
+      {"HashLookup",
+       {"ir0 = HashLookup(777); SmsWrite64(520, ir0); Exit();",
+        [](Vfp& v) { v.hash_table().insert(777, 4242); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 4242u);
+        }}},
+      {"HashInsert",
+       {"ir0 = HashInsert(777, 4242); SmsWrite64(520, ir0); Exit();", nullptr,
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 1u);
+          EXPECT_EQ(v.hash_table().lookup(777), 4242u);
+        }}},
+      {"HashDelete",
+       {"ir0 = HashDelete(777); SmsWrite64(520, ir0); Exit();",
+        [](Vfp& v) { v.hash_table().insert(777, 4242); },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          EXPECT_EQ(v.sms().peek_u64(520), 1u);
+          EXPECT_FALSE(v.hash_table().contains(777));
+        }}},
+      {"SmsReadVec",
+       // The reply's byte count sizes the write-back of what it landed.
+       {"ir0 = SmsReadVec(512, 600, 16); SmsWriteVec(1024, 600, ir0); Exit();",
+        [](Vfp& v) {
+          for (std::uint32_t i = 0; i < 4; ++i) {
+            v.sms().poke_u32(512 + 4 * i, 0xa0a0a0a0u + i);
+          }
+        },
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          for (std::uint32_t i = 0; i < 4; ++i) {
+            EXPECT_EQ(v.sms().peek_u32(1024 + 4 * i), 0xa0a0a0a0u + i);
+          }
+          EXPECT_EQ(v.sms().peek_u32(1040), 0u);
+        }}},
+      {"SmsWriteVec",
+       {"SmsWriteVec(1024, 0, 16); Exit();", nullptr,
+        [](Vfp& v, const Verdict&, const net::Buffer& f) {
+          for (std::size_t i = 0; i < 4; ++i) {
+            EXPECT_EQ(v.sms().peek_u32(1024 + 4 * i), frame_word(f, i));
+          }
+        }}},
+      {"AddVec32",
+       {"AddVec32(1024, 0, 8); Exit();",
+        [](Vfp& v) {
+          v.sms().poke_u32(1024, 1);
+          v.sms().poke_u32(1028, 0x10000);
+        },
+        [](Vfp& v, const Verdict&, const net::Buffer& f) {
+          EXPECT_EQ(v.sms().peek_u32(1024), frame_word(f, 0) + 1);
+          EXPECT_EQ(v.sms().peek_u32(1028), frame_word(f, 1) + 0x10000);
+        }}},
+      {"MinVec32",
+       {"MinVec32(1024, 0, 8); Exit();",
+        [](Vfp& v) {
+          v.sms().poke_u32(1024, 0xffffffffu);
+          v.sms().poke_u32(1028, 1);
+        },
+        [](Vfp& v, const Verdict&, const net::Buffer& f) {
+          EXPECT_EQ(v.sms().peek_u32(1024), frame_word(f, 0));
+          EXPECT_EQ(v.sms().peek_u32(1028), 1u);
+        }}},
+      {"VoteVec32",
+       {"VoteVec32(1024, 0, 4); Exit();", nullptr,
+        [](Vfp& v, const Verdict&, const net::Buffer& f) {
+          EXPECT_EQ(v.sms().peek_u32(1024), frame_word(f, 0));  // candidate
+          EXPECT_EQ(v.sms().peek_u32(1028), 1u);                // count
+        }}},
+      {"SmsFill32",
+       {"SmsFill32(1024, 0xdeadbeef, 12); Exit();", nullptr,
+        [](Vfp& v, const Verdict&, const net::Buffer&) {
+          for (std::size_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(v.sms().peek_u32(1024 + 4 * i), 0xdeadbeefu);
+          }
+          EXPECT_EQ(v.sms().peek_u32(1036), 0u);
+        }}},
+      {"Forward",
+       {"Forward(1); Exit();", nullptr,
+        [](Vfp&, const Verdict& out, const net::Buffer&) {
+          EXPECT_TRUE(out.forwarded);
+          EXPECT_EQ(out.egress_port, 2);  // nexthop N leaves port N+1
+        }}},
+      {"Drop",
+       {"Drop(); SmsWrite64(512, 1);", nullptr,
+        [](Vfp& v, const Verdict& out, const net::Buffer&) {
+          EXPECT_FALSE(out.forwarded);
+          EXPECT_EQ(v.sms().peek_u64(512), 0u);  // the thread ended first
+        }}},
+      {"Exit",
+       {"Exit(); SmsWrite64(512, 1);", nullptr,
+        [](Vfp& v, const Verdict& out, const net::Buffer&) {
+          EXPECT_FALSE(out.forwarded);
+          EXPECT_EQ(v.sms().peek_u64(512), 0u);
+        }}},
+  };
+  return cases;
+}
+
+TEST(IntrinsicTable, EveryRowRunsThroughTheForwardingPlane) {
+  const auto& cases = intrinsic_cases();
+  EXPECT_EQ(cases.size(), microcode::intrinsics().size());
+  for (const microcode::IntrinsicInfo& in : microcode::intrinsics()) {
+    SCOPED_TRACE(std::string(in.name));
+    const auto it = cases.find(in.name);
+    ASSERT_NE(it, cases.end()) << "no test case for this intrinsic";
+    const IntrinsicCase& c = it->second;
+    microcode::vmx::VirtualForwardingPlane vfp(
+        microcode::compile("main:\nbegin\n" + c.block + "\nend\n"));
+    if (c.seed) c.seed(vfp);
+    std::vector<std::uint8_t> payload(64, 0x5a);
+    const net::Buffer frame = net::build_udp_frame(
+        {1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12},
+        net::Ipv4Addr::from_string("10.0.0.1"),
+        net::Ipv4Addr::from_string("10.0.0.2"), 1, 2, payload);
+    const auto verdict = vfp.process(frame);
+    c.check(vfp, verdict, frame);
+  }
 }
 
 }  // namespace

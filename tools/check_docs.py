@@ -11,6 +11,8 @@
 4. Every BENCH_*.json artifact named in EXPERIMENTS.md must be produced
    by a CI job (.github/workflows/ci.yml mentions it), so reproduction
    commands never reference artifacts that no longer exist.
+5. Every intrinsic in the Microcode intrinsic table
+   (src/microcode/compiler.cpp) must have a row in docs/MICROCODE.md.
 
 Blocks tagged with any other language (```sh, ```c, untagged ASCII
 diagrams) are not compiled. Usage:
@@ -144,6 +146,25 @@ def check_bench_artifacts(repo: Path) -> list:
     return errors
 
 
+INTRINSIC_ROW_RE = re.compile(r'^\s*\{"(\w+)", K::k\w+,', re.MULTILINE)
+
+
+def check_intrinsic_docs(repo: Path) -> list:
+    """Every intrinsic-table row must have a row in docs/MICROCODE.md."""
+    table = repo / "src" / "microcode" / "compiler.cpp"
+    doc = repo / "docs" / "MICROCODE.md"
+    names = INTRINSIC_ROW_RE.findall(table.read_text())
+    if not names:
+        return [f"{table.relative_to(repo)}: no intrinsic table rows found"]
+    rows = [line for line in doc.read_text().splitlines()
+            if line.startswith("|")]
+    return [
+        f"docs/MICROCODE.md: intrinsic {name} has no table row"
+        for name in names
+        if not any(re.search(rf"\b{name}\(", row) for row in rows)
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo", default=Path(__file__).resolve().parent.parent,
@@ -162,6 +183,7 @@ def main() -> int:
         checked_blocks += sum(1 for _ in cpp_blocks(md))
     errors += check_docs_index(repo)
     errors += check_bench_artifacts(repo)
+    errors += check_intrinsic_docs(repo)
 
     for message in errors:
         print(message, file=sys.stderr)
