@@ -25,6 +25,7 @@
 #include "bench_util.hpp"
 #include "cluster/allreduce.hpp"
 #include "cluster/cluster.hpp"
+#include "sim/digest.hpp"
 
 namespace {
 
@@ -40,31 +41,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
-}
-
-/// FNV-1a over every worker's result gradients plus the completion count
-/// and final simulated clock — the fingerprint the shard sweep compares.
-std::uint64_t results_digest(const cluster::AllreduceRun& run,
-                             sim::Time final_now) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  eat(std::uint64_t(run.finished));
-  eat(std::uint64_t(run.finish.ns()));
-  eat(std::uint64_t(final_now.ns()));
-  for (const trioml::AllreduceResult& r : run.results) {
-    eat(r.grads.size());
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      eat(bits);
-    }
-  }
-  return h;
 }
 
 cluster::ClusterSpec make_spec(const Topology& topo, int shards) {
@@ -188,7 +164,12 @@ int main(int argc, char** argv) {
     const cluster::AllreduceRun run = cluster::run_allreduce(cl, big_grads);
     const double wall_ms = ms_since(wall_start);
     const std::uint64_t events = cl.engine().events_executed();
-    const std::uint64_t digest = results_digest(run, cl.engine().now());
+    // Results plus completion count and final clock: any scheduling
+    // divergence between shard counts shows even when values agree.
+    sim::Digest d(sim::Digest::kLegacySeed);
+    d.u64(run.finished).u64(run.finish.ns()).u64(cl.engine().now().ns());
+    for (const auto& r : run.results) d.u64(r.grads.size()).f32_bits(r.grads);
+    const std::uint64_t digest = d.value();
     if (shards == 1) {
       wall_1 = wall_ms;
       digest_1 = digest;

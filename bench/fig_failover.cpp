@@ -25,6 +25,7 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 
 namespace {
 
@@ -40,27 +41,6 @@ struct Outcome {
   std::uint64_t result_digest = 0;
   std::uint64_t log_digest = 0;  // fault log folded with recovery log
 };
-
-// FNV-1a over every result's gradient bits (tests/recovery_test.cpp).
-std::uint64_t digest_results(
-    const std::vector<trioml::AllreduceResult>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& r : results) {
-    eat(r.grads.size());
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      eat(bits);
-    }
-  }
-  return h;
-}
 
 // kill_us < 0 runs the fault-free baseline.
 Outcome run_point(double kill_us, std::size_t blocks) {
@@ -118,15 +98,13 @@ Outcome run_point(double kill_us, std::size_t blocks) {
     out.detect_us = (mgr.last_death_at() - killed).us();
     out.failover_us = (mgr.last_failover_at() - mgr.last_death_at()).us();
   }
-  out.result_digest = digest_results(run.results);
-  // Fold fault and recovery fingerprints into one replay digest.
-  std::uint64_t h = injector.digest();
-  const std::uint64_t r = mgr.digest();
-  for (int i = 0; i < 8; ++i) {
-    h ^= (r >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
+  sim::Digest results(sim::Digest::kLegacySeed);
+  for (const auto& r : run.results) {
+    results.u64(r.grads.size()).f32_bits(r.grads);
   }
-  out.log_digest = h;
+  out.result_digest = results.value();
+  // Fold fault and recovery fingerprints into one replay digest.
+  out.log_digest = sim::Digest(injector.digest()).u64(mgr.digest()).value();
   return out;
 }
 

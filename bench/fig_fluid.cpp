@@ -38,6 +38,7 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "jobs/fluid.hpp"
+#include "sim/digest.hpp"
 
 namespace {
 
@@ -49,49 +50,6 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
-}
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// FNV-1a over results, completion count, finish time and final clock —
-/// timing included, so scheduling divergence shows even when values agree.
-std::uint64_t results_digest(const cluster::AllreduceRun& run,
-                             sim::Time final_now) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv(h, std::uint64_t(run.finished));
-  h = fnv(h, std::uint64_t(run.finish.ns()));
-  h = fnv(h, std::uint64_t(final_now.ns()));
-  for (const trioml::AllreduceResult& r : run.results) {
-    h = fnv(h, r.grads.size());
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      h = fnv(h, bits);
-    }
-  }
-  return h;
-}
-
-/// FNV-1a over result values only (the tenant-digest shape trio-run
-/// reports): what the computation produced, independent of when.
-std::uint64_t values_digest(const cluster::AllreduceRun& run) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv(h, std::uint64_t(run.finished));
-  for (const trioml::AllreduceResult& r : run.results) {
-    h = fnv(h, r.grads.size());
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      h = fnv(h, bits);
-    }
-  }
-  return h;
 }
 
 cluster::ClusterSpec make_spec(int racks, int workers_per_rack, int shards) {
@@ -124,7 +82,8 @@ struct ModeResult {
   cluster::AllreduceRun run;
   double wall_ms = 0;
   std::uint64_t events = 0;
-  std::uint64_t digest = 0;
+  std::uint64_t digest = 0;         // results + completion timing
+  std::uint64_t values_digest = 0;  // results only
   std::uint64_t bg_bytes = 0;  // background bytes carried (fluid + frames)
   std::uint64_t fluid_bytes = 0;
   std::uint64_t packet_frames = 0;
@@ -171,7 +130,21 @@ ModeResult run_mode(const cluster::ClusterSpec& spec, double load,
   fluid.stop();
 
   out.events = cl.engine().events_executed();
-  out.digest = results_digest(out.run, cl.engine().now());
+  // The timing digest folds in the completion count, finish time and
+  // final clock, so scheduling divergence shows even when values agree.
+  // The values digest (the tenant-digest shape trio-run reports) covers
+  // what the computation produced, independent of when.
+  sim::Digest timing(sim::Digest::kLegacySeed);
+  sim::Digest values(sim::Digest::kLegacySeed);
+  timing.u64(out.run.finished).u64(out.run.finish.ns());
+  timing.u64(cl.engine().now().ns());
+  values.u64(out.run.finished);
+  for (const auto& r : out.run.results) {
+    timing.u64(r.grads.size()).f32_bits(r.grads);
+    values.u64(r.grads.size()).f32_bits(r.grads);
+  }
+  out.digest = timing.value();
+  out.values_digest = values.value();
   out.fluid_bytes = fluid.fluid_bytes();
   out.packet_frames = fluid.packet_frames();
   out.bg_bytes = fluid.fluid_bytes() + fluid.packet_bytes();
@@ -380,27 +353,26 @@ int main(int argc, char** argv) {
     const auto spec = make_spec(racks, wpr, 1);
     const ModeResult pkt = run_mode(spec, 0.35, true, &whole, horizon, grads);
     const ModeResult fl = run_mode(spec, 0.35, false, &whole, horizon, grads);
-    const std::uint64_t pkt_values = values_digest(pkt.run);
-    const std::uint64_t fl_values = values_digest(fl.run);
     const double dur_err =
         rel_err(fl.run.duration_us(), pkt.run.duration_us());
-    const bool ok = pkt_values == fl_values && fl.fluid_bytes == 0 &&
+    const bool ok = pkt.values_digest == fl.values_digest &&
+                    fl.fluid_bytes == 0 &&
                     fl.packet_frames == pkt.packet_frames &&
                     pkt.run.finished == spec.total_workers() &&
                     fl.run.finished == spec.total_workers();
     if (!ok) ++failures;
     std::printf("  value digest %016llx vs %016llx, frames %llu vs %llu, "
                 "dur %.1f vs %.1f us (err %.2f%%), fluid bytes %llu -> %s\n",
-                static_cast<unsigned long long>(pkt_values),
-                static_cast<unsigned long long>(fl_values),
+                static_cast<unsigned long long>(pkt.values_digest),
+                static_cast<unsigned long long>(fl.values_digest),
                 static_cast<unsigned long long>(pkt.packet_frames),
                 static_cast<unsigned long long>(fl.packet_frames),
                 pkt.run.duration_us(), fl.run.duration_us(), dur_err * 100,
                 static_cast<unsigned long long>(fl.fluid_bytes),
                 ok ? "identical" : "MISMATCH");
     series.string("metric", "chaos_fidelity")
-        .number("values_digest_packet", pkt_values)
-        .number("values_digest_fluid", fl_values)
+        .number("values_digest_packet", pkt.values_digest)
+        .number("values_digest_fluid", fl.values_digest)
         .number("duration_us_packet", pkt.run.duration_us())
         .number("duration_us_fluid", fl.run.duration_us())
         .number("duration_err", dur_err)

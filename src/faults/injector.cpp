@@ -153,7 +153,7 @@ std::uint64_t FaultInjector::derive_seed(const FaultEvent& event,
 }
 
 void FaultInjector::record(const std::string& what, bool recovery) {
-  log_.push_back(LogEntry{sim_.now(), what});
+  log_.record(sim_.now(), what);
   if (recovery) {
     ++recoveries_;
     recovered_ctr_.inc();
@@ -400,24 +400,6 @@ void FaultInjector::execute(const FaultEvent& event) {
       break;
     }
   }
-}
-
-std::uint64_t FaultInjector::digest() const {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const LogEntry& entry : log_) {
-    eat(std::uint64_t(entry.at.ns()));
-    for (char c : entry.what) {
-      h ^= std::uint8_t(c);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
 }
 
 }  // namespace faults

@@ -21,6 +21,7 @@
 
 #include "faults/fault.hpp"
 #include "faults/schedule.hpp"
+#include "sim/digest.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -97,14 +98,12 @@ class FaultInjector {
     cache_dropper_ = std::move(dropper);
   }
 
-  struct LogEntry {
-    sim::Time at;
-    std::string what;
-  };
   /// Every executed action (faults and recoveries) in execution order.
-  const std::vector<LogEntry>& log() const { return log_; }
+  const std::vector<sim::ActionLog::Entry>& log() const {
+    return log_.entries();
+  }
   /// FNV-1a fingerprint of the log — equal across deterministic replays.
-  std::uint64_t digest() const;
+  std::uint64_t digest() const { return log_.digest(); }
 
   std::uint64_t faults_injected() const { return faults_injected_; }
   std::uint64_t recoveries() const { return recoveries_; }
@@ -158,7 +157,7 @@ class FaultInjector {
   std::function<bool(int tenant, int host, bool restart)> tenant_host_handler_;
   std::function<std::size_t(std::uint8_t tenant)> cache_dropper_;
 
-  std::vector<LogEntry> log_;
+  sim::ActionLog log_;
   std::uint64_t faults_injected_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t buckets_dropped_ = 0;

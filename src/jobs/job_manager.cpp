@@ -1,7 +1,6 @@
 #include "jobs/job_manager.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "faults/injector.hpp"
@@ -10,25 +9,6 @@
 
 namespace jobs {
 namespace {
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_values(std::uint64_t& h, const std::vector<std::uint32_t>& values) {
-  const std::uint32_t n = std::uint32_t(values.size());
-  fnv_bytes(h, &n, sizeof(n));
-  if (!values.empty()) {
-    fnv_bytes(h, values.data(), values.size() * sizeof(std::uint32_t));
-  }
-}
 
 /// Deterministic PUT payload: depends only on (tenant, key, sequence, i),
 /// so a solo and a co-tenant replay write — and later read back — the
@@ -47,16 +27,10 @@ std::vector<std::uint32_t> netrpc_put_values(TenantId id, std::uint64_t key,
 }  // namespace
 
 std::uint64_t TenantRun::digest() const {
-  if (kind == TenantKind::kNetRpc) return netrpc.value_digest;
-  std::uint64_t h = kFnvBasis;
-  for (const auto& res : results) {
-    const std::uint32_t n = std::uint32_t(res.grads.size());
-    fnv_bytes(h, &n, sizeof(n));
-    if (!res.grads.empty()) {
-      fnv_bytes(h, res.grads.data(), res.grads.size() * sizeof(float));
-    }
-  }
-  return h;
+  if (kind == TenantKind::kNetRpc) return netrpc.value_digest.value();
+  sim::Digest d;
+  for (const auto& res : results) d.counted(res.grads);
+  return d.value();
 }
 
 const TenantRun* MultiTenantRun::tenant(TenantId id) const {
@@ -594,7 +568,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
         client->put(key, netrpc_put_values(id, key, seq + 1, words),
                     [this, &tr, d, key](netrpc::PutResult) {
                       ++tr.netrpc.puts;
-                      fnv_bytes(tr.netrpc.value_digest, &key, sizeof(key));
+                      tr.netrpc.value_digest.bytes(&key, sizeof(key));
                       d->pump();
                     });
         return;
@@ -609,7 +583,7 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
           } else {
             tr.netrpc.get_miss_latency_us.add(res.latency.us());
           }
-          fnv_values(tr.netrpc.value_digest, res.values);
+          tr.netrpc.value_digest.counted(res.values);
           d->pump();
         });
         return;
@@ -630,8 +604,8 @@ void JobManager::start_netrpc_tenant(TenantRun& tr, Tenant& tenant,
                        const std::uint8_t meta[2] = {
                            res.server_cnt,
                            std::uint8_t(res.degraded ? 1 : 0)};
-                       fnv_bytes(tr.netrpc.value_digest, meta, sizeof(meta));
-                       fnv_values(tr.netrpc.value_digest, res.values);
+                       tr.netrpc.value_digest.bytes(meta, sizeof(meta));
+                       tr.netrpc.value_digest.counted(res.values);
                        d->pump();
                      });
       }

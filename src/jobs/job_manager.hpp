@@ -31,6 +31,7 @@
 #include "jobs/tenant.hpp"
 #include "netrpc/app.hpp"
 #include "netrpc/host.hpp"
+#include "sim/digest.hpp"
 
 namespace faults {
 class FaultInjector;
@@ -55,7 +56,7 @@ struct NetRpcRun {
   std::uint64_t puts = 0;
   /// FNV-1a over every completed op's merged/returned values in
   /// completion order — the netrpc golden digest.
-  std::uint64_t value_digest = 14695981039346656037ull;
+  sim::Digest value_digest;
   sim::Samples call_latency_us;
   sim::Samples get_hit_latency_us;
   sim::Samples get_miss_latency_us;

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/digest.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trio/router.hpp"
@@ -97,14 +98,12 @@ class HeartbeatMonitor {
   /// Called by the in-router heartbeat program on each execution.
   void on_heartbeat(int idx);
 
-  struct LogEntry {
-    sim::Time at;
-    std::string what;
-  };
   /// Every liveness transition in execution order.
-  const std::vector<LogEntry>& log() const { return log_; }
+  const std::vector<sim::ActionLog::Entry>& log() const {
+    return log_.entries();
+  }
   /// FNV-1a fingerprint of the log — equal across deterministic replays.
-  std::uint64_t digest() const;
+  std::uint64_t digest() const { return log_.digest(); }
 
   std::uint64_t heartbeats() const { return heartbeats_; }
   std::uint64_t deaths_declared() const { return deaths_; }
@@ -133,7 +132,7 @@ class HeartbeatMonitor {
   bool running_ = false;
   sim::EventId check_event_{};
 
-  std::vector<LogEntry> log_;
+  sim::ActionLog log_;
   std::uint64_t heartbeats_ = 0;
   std::uint64_t deaths_ = 0;
   std::uint64_t revivals_ = 0;

@@ -104,32 +104,12 @@ void RecoveryManager::on_transition(int idx, bool dead) {
 
 void RecoveryManager::record(const std::string& what, bool recovery) {
   const sim::Time now = cluster_.simulator().now();
-  log_.push_back(LogEntry{now, what});
+  log_.record(now, what);
   telemetry::Telemetry* telem = cluster_.spec().telemetry;
   if (telem != nullptr) {
     telem->tracer.instant(HeartbeatMonitor::kTracePid, recovery ? 3 : 2, what,
                           now);
   }
-}
-
-std::uint64_t RecoveryManager::digest() const {
-  // Fold the liveness log and the action log into one fingerprint, the
-  // same FNV-1a idiom as FaultInjector::digest().
-  std::uint64_t h = monitor_.digest();
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const LogEntry& entry : log_) {
-    eat(std::uint64_t(entry.at.ns()));
-    for (char c : entry.what) {
-      h ^= std::uint8_t(c);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
 }
 
 }  // namespace recovery

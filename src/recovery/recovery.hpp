@@ -78,14 +78,12 @@ class RecoveryManager {
   sim::Time last_death_at() const { return last_death_at_; }
   sim::Time last_failover_at() const { return last_failover_at_; }
 
-  struct LogEntry {
-    sim::Time at;
-    std::string what;
-  };
-  const std::vector<LogEntry>& log() const { return log_; }
+  const std::vector<sim::ActionLog::Entry>& log() const {
+    return log_.entries();
+  }
   /// Combined replay fingerprint: the monitor's liveness log folded with
   /// the manager's failover/rejoin actions.
-  std::uint64_t digest() const;
+  std::uint64_t digest() const { return log_.digest(monitor_.digest()); }
 
  private:
   void on_transition(int idx, bool dead);
@@ -97,7 +95,7 @@ class RecoveryManager {
   int spine_idx_ = -1;
   std::vector<int> leaf_idx_;  // watch index per rack
 
-  std::vector<LogEntry> log_;
+  sim::ActionLog log_;
   std::uint64_t failovers_ = 0;
   std::uint64_t rejoins_ = 0;
   std::uint64_t subtree_detachments_ = 0;

@@ -15,16 +15,21 @@ namespace sim {
 // instant, local queue events run first (FIFO, including same-instant
 // follow-ups they schedule), then boundary deliveries one at a time in
 // (at, src, seq) order — re-preferring the queue after each delivery, since
-// a delivery may schedule same-instant local work. The serial loops and
+// a delivery may schedule same-instant local work. The serial loop and
 // run_window() produce the same total order, which is what the shard-count
 // invariance tests pin down.
 
-std::uint64_t Simulator::run() {
-  if (engine_ != nullptr) return engine_->run();
+// One loop for run() and run_until(); kBounded compiles the deadline test
+// out of run(), so draining to empty pays nothing per event for the share.
+template <bool kBounded>
+std::uint64_t Simulator::run_serial(Time deadline) {
   std::uint64_t n = 0;
   while (pending()) {
     const Time tq = queue_.next_time();
     const Time td = next_delivery_time();
+    if constexpr (kBounded) {
+      if ((tq <= td ? tq : td) > deadline) break;
+    }
     if (tq <= td) {
       now_ = tq;
       queue_.pop_and_run();
@@ -36,48 +41,17 @@ std::uint64_t Simulator::run() {
   }
   events_executed_ += n;
   return n;
+}
+
+std::uint64_t Simulator::run() {
+  if (engine_ != nullptr) return engine_->run();
+  return run_serial</*kBounded=*/false>(Time::max());
 }
 
 std::uint64_t Simulator::run_until(Time deadline) {
   if (engine_ != nullptr) return engine_->run_until(deadline);
-  std::uint64_t n = 0;
-  while (pending() && next_event_time() <= deadline) {
-    const Time tq = queue_.next_time();
-    const Time td = next_delivery_time();
-    if (tq <= td) {
-      now_ = tq;
-      queue_.pop_and_run();
-    } else {
-      now_ = td;
-      pop_delivery_and_run();
-    }
-    ++n;
-  }
+  const std::uint64_t n = run_serial</*kBounded=*/true>(deadline);
   if (now_ < deadline) now_ = deadline;
-  events_executed_ += n;
-  return n;
-}
-
-std::uint64_t Simulator::run_events(std::uint64_t max_events) {
-  if (engine_ != nullptr) {
-    throw std::logic_error(
-        "Simulator::run_events: not available on a sharded-engine shard "
-        "(per-shard event counts are not globally meaningful)");
-  }
-  std::uint64_t n = 0;
-  while (n < max_events && pending()) {
-    const Time tq = queue_.next_time();
-    const Time td = next_delivery_time();
-    if (tq <= td) {
-      now_ = tq;
-      queue_.pop_and_run();
-    } else {
-      now_ = td;
-      pop_delivery_and_run();
-    }
-    ++n;
-  }
-  events_executed_ += n;
   return n;
 }
 

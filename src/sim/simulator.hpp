@@ -52,11 +52,6 @@ class Simulator {
   /// even if the queue drains earlier. Returns the number of events run.
   std::uint64_t run_until(Time deadline);
 
-  /// Runs at most `max_events` events. Returns the number run. Standalone
-  /// simulators only (throws std::logic_error on an engine shard, where
-  /// event counts are only meaningful globally).
-  std::uint64_t run_events(std::uint64_t max_events);
-
   bool pending() const { return !queue_.empty() || !deliveries_.empty(); }
   std::size_t queue_size() const { return queue_.size(); }
   /// Events executed by this simulator — or, on an engine-attached shard,
@@ -113,6 +108,10 @@ class Simulator {
     return a.seq > b.seq;
   }
   void pop_delivery_and_run();
+  /// The serial loop behind run() and run_until(): runs events with time
+  /// <= deadline, checking it only when kBounded.
+  template <bool kBounded>
+  std::uint64_t run_serial(Time deadline);
 
   EventQueue queue_;
   std::vector<Delivery> deliveries_;

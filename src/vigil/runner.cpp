@@ -1,7 +1,6 @@
 #include "vigil/runner.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <optional>
@@ -17,31 +16,10 @@
 #include "netrpc/app.hpp"
 #include "netrpc/host.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 
 namespace vigil {
 namespace {
-
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t digest_results(
-    const std::vector<std::optional<trioml::AllreduceResult>>& results) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& res : results) {
-    if (!res) continue;
-    for (float g : res->grads) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &g, sizeof(bits));
-      h = fnv_fold(h, bits);
-    }
-  }
-  return h;
-}
 
 /// Simulated-time progress watchdog (docs/vigil.md): samples a "useful
 /// work" counter every `step`; no change for longer than `window` while
@@ -400,7 +378,11 @@ RunReport run_impl(const RunConfig& config,
     report.degraded_blocks = degraded;
     if (report.finished == report.expected && report.crashed == 0 &&
         degraded == 0) {
-      report.digests.emplace_back(0, digest_results(results));
+      sim::Digest d;
+      for (const auto& res : results) {
+        if (res) d.f32_bits(res->grads);
+      }
+      report.digests.emplace_back(0, d.value());
     }
   }
   report.converged = report.finished >= report.expected - report.crashed;

@@ -15,28 +15,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "cluster/allreduce.hpp"
 #include "cluster/cluster.hpp"
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
+#include "sim/digest.hpp"
 #include "sim/simulator.hpp"
 #include "trioml/testbed.hpp"
 
 namespace {
-
-// FNV-1a over the little-endian bytes of each value: platform-independent.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
 
 // A deterministic LCG so the scenario is identical on every platform.
 struct Lcg {
@@ -54,7 +43,7 @@ struct Lcg {
 /// sequence.
 std::uint64_t run_scripted_scenario() {
   sim::Simulator sim;
-  std::uint64_t digest = kFnvOffset;
+  sim::Digest digest(sim::Digest::kLegacySeed);
   std::uint64_t next_label = 0;
   Lcg rng;
 
@@ -62,8 +51,7 @@ std::uint64_t run_scripted_scenario() {
   ids.reserve(512);
 
   auto record = [&sim, &digest](std::uint64_t label) {
-    mix(digest, static_cast<std::uint64_t>(sim.now().ns()));
-    mix(digest, label);
+    digest.u64(std::uint64_t(sim.now().ns())).u64(label);
   };
 
   for (int round = 0; round < 8; ++round) {
@@ -99,7 +87,7 @@ std::uint64_t run_scripted_scenario() {
     }
     sim.run();
   }
-  return digest;
+  return digest.value();
 }
 
 TEST(Determinism, ScriptedPopOrderMatchesGolden) {
@@ -155,20 +143,12 @@ TEST(Determinism, Fig13ScaleRunIsExactlyRepeatable) {
 /// FNV-1a over every worker's result gradient bits plus the completion
 /// count, last-arrival time and final engine clock.
 std::uint64_t run_digest(const cluster::AllreduceRun& run, sim::Time now) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, std::uint64_t(run.finished));
-  mix(h, std::uint64_t(run.finish.ns()));
-  mix(h, std::uint64_t(now.ns()));
+  sim::Digest d(sim::Digest::kLegacySeed);
+  d.u64(run.finished).u64(run.finish.ns()).u64(now.ns());
   for (const trioml::AllreduceResult& r : run.results) {
-    mix(h, r.grads.size());
-    mix(h, r.degraded_blocks);
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &g, sizeof bits);
-      mix(h, bits);
-    }
+    d.u64(r.grads.size()).u64(r.degraded_blocks).f32_bits(r.grads);
   }
-  return h;
+  return d.value();
 }
 
 struct ShardOutcome {

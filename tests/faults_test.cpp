@@ -16,34 +16,22 @@
 #include "cluster/cluster.hpp"
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
+#include "sim/digest.hpp"
 #include "trioml/testbed.hpp"
 
 namespace {
 
 using namespace faults;
 
-// FNV-1a over each result's gradient bits: bit-identical results <=>
-// equal digests (same idiom as determinism_test.cpp).
+// Each result's length, degraded-block count and gradient bits:
+// bit-identical results <=> equal digests.
 std::uint64_t digest_results(
     const std::vector<trioml::AllreduceResult>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  sim::Digest d(sim::Digest::kLegacySeed);
   for (const auto& r : results) {
-    eat(r.grads.size());
-    eat(r.degraded_blocks);
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      static_assert(sizeof bits == sizeof g);
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      eat(bits);
-    }
+    d.u64(r.grads.size()).u64(r.degraded_blocks).f32_bits(r.grads);
   }
-  return h;
+  return d.value();
 }
 
 TEST(FaultSchedule, ParsesTheDslGrammar) {
@@ -251,6 +239,14 @@ TEST(FaultInjector, GoldenDeterministicReplay) {
 // Host-crash recovery: the crashed worker is excluded, every survivor
 // converges, and survivors see degraded (rescaled) blocks where worker
 // 5's contribution aged out.
+// Pinned values: the replay tests compare run against run, so a change
+// that shifted every fingerprint alike would still pass them.
+TEST(FaultInjector, DigestsMatchPinnedValues) {
+  const ChaosRun run = run_chaos(acceptance_schedule());
+  EXPECT_EQ(run.fault_digest, 0x629061e879f286d9ull);
+  EXPECT_EQ(run.result_digest, 0x6341a04d77d7329eull);
+}
+
 TEST(FaultInjector, HostCrashExcludesWorkerAndSurvivorsConverge) {
   const ChaosRun run = run_chaos(acceptance_schedule());
   EXPECT_EQ(run.finished, 7);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "cluster/allreduce.hpp"
@@ -15,6 +14,7 @@
 #include "faults/schedule.hpp"
 #include "jobs/fluid.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 
@@ -201,29 +201,13 @@ ClusterSpec small_spec(int shards = 1) {
   return spec;
 }
 
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Results + timing fingerprint (the fig17 shape): any scheduling or
 // ordering divergence shows up here even when values agree.
 std::uint64_t run_digest(const cluster::AllreduceRun& run, Time now) {
-  std::uint64_t h = 14695981039346656037ull;
-  h = fnv(h, std::uint64_t(run.finished));
-  h = fnv(h, std::uint64_t(run.finish.ns()));
-  h = fnv(h, std::uint64_t(now.ns()));
-  for (const auto& r : run.results) {
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &g, sizeof(bits));
-      h = fnv(h, bits);
-    }
-  }
-  return h;
+  sim::Digest d;
+  d.u64(run.finished).u64(run.finish.ns()).u64(now.ns());
+  for (const auto& r : run.results) d.f32_bits(r.grads);
+  return d.value();
 }
 
 struct ControllerRun {

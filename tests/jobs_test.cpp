@@ -276,6 +276,13 @@ TEST(MultiTenant, ThreeTenantGoldenDigestIsDeterministic) {
   EXPECT_EQ(a, b);
 }
 
+// Pinned value: the determinism tests compare run against run, so a
+// change that shifted every fingerprint alike would still pass them.
+TEST(MultiTenant, SoloDigestMatchesPinnedValue) {
+  EXPECT_EQ(run_solo(allreduce_tenant(2)).tenants[0].digest(),
+            0xb5ef75eaa1d69a35ull);
+}
+
 // --- Tenant-scoped faults ---------------------------------------------------
 
 TEST(Faults, TenantQualifiedCrashHitsOnlyThatTenant) {

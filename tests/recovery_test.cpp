@@ -19,6 +19,7 @@
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 #include "trio/hash_table.hpp"
 #include "trioml/testbed.hpp"
 #include "vigil/invariants.hpp"
@@ -38,27 +39,15 @@ sim::Time at_us(std::int64_t us) {
   return sim::Time() + sim::Duration::micros(us);
 }
 
-// FNV-1a over each result's gradient bits (same idiom as faults_test).
+// Each result's length, degraded-block count and gradient bits:
+// bit-identical results <=> equal digests.
 std::uint64_t digest_results(
     const std::vector<trioml::AllreduceResult>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto eat = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  sim::Digest d(sim::Digest::kLegacySeed);
   for (const auto& r : results) {
-    eat(r.grads.size());
-    eat(r.degraded_blocks);
-    for (float g : r.grads) {
-      std::uint32_t bits;
-      static_assert(sizeof bits == sizeof g);
-      __builtin_memcpy(&bits, &g, sizeof bits);
-      eat(bits);
-    }
+    d.u64(r.grads.size()).u64(r.degraded_blocks).f32_bits(r.grads);
   }
-  return h;
+  return d.value();
 }
 
 // --- Phi estimator ---------------------------------------------------------
@@ -316,6 +305,15 @@ TEST(Failover, SameSeedReplaysIdenticalDigests) {
 
 // Satellite: combined chaos — burst loss on every host link while the
 // spine dies mid-epoch. Still bit-identical, still replayable.
+// Pinned values: the replay tests compare run against run, so a change
+// that shifted every fingerprint alike would still pass them.
+TEST(Failover, DigestsMatchPinnedValues) {
+  const FailoverRun run = run_failover("at 60us kill spine");
+  EXPECT_EQ(run.recovery_digest, 0x2858a6c2a6749c32ull);
+  EXPECT_EQ(run.fault_digest, 0xbadcc28c4a392b5dull);
+  EXPECT_EQ(run.result_digest, 0x51573a4ca951ec03ull);
+}
+
 TEST(Failover, ChaosKillPlusBurstLossStaysBitIdentical) {
   // Burst loss on the contribution direction only: a lost *result* to a
   // single worker is unrecoverable bit-identically by design (the other

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "sim/digest.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -233,6 +236,36 @@ TEST(Stats, EmptySamplesSafe) {
   sim::Samples s;
   EXPECT_EQ(s.percentile(50), 0.0);
   EXPECT_EQ(s.mean(), 0.0);
+}
+
+TEST(Digest, MatchesPublishedFnv1a64Vectors) {
+  EXPECT_EQ(sim::Digest().str("").value(), 0xcbf29ce484222325ull);
+  EXPECT_EQ(sim::Digest().str("a").value(), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(sim::Digest().str("foobar").value(), 0x85944171f73967e8ull);
+}
+
+TEST(Digest, U64FoldsEightLittleEndianBytes) {
+  const std::uint64_t v = 0x0123456789abcdefull;
+  const unsigned char le[8] = {0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01};
+  EXPECT_EQ(sim::Digest().u64(v).value(), sim::Digest().bytes(le, 8).value());
+  EXPECT_EQ(sim::Digest(sim::Digest::kLegacySeed).u64(v).value(),
+            sim::Digest(sim::Digest::kLegacySeed).bytes(le, 8).value());
+}
+
+TEST(Digest, ActionLogFoldsTimeThenTextFromItsStart) {
+  sim::ActionLog log;
+  log.record(sim::Time(1500), "kill spine");
+  log.record(sim::Time(2500), "revive spine");
+  ASSERT_EQ(log.entries().size(), 2u);
+  EXPECT_EQ(log.entries()[1].what, "revive spine");
+  EXPECT_EQ(log.digest(), log.digest(sim::Digest::kOffsetBasis));
+  for (const std::uint64_t start :
+       {sim::Digest::kOffsetBasis, std::uint64_t(42)}) {
+    sim::Digest d(start);
+    d.u64(1500).str("kill spine").u64(2500).str("revive spine");
+    EXPECT_EQ(log.digest(start), d.value());
+  }
+  EXPECT_EQ(sim::ActionLog().digest(7), 7u);
 }
 
 }  // namespace

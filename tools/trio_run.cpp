@@ -45,7 +45,8 @@
 // OS threads — one shard per router domain, conservative lookahead
 // windows (docs/performance.md). Results are bit-identical at every
 // shard count. Default: hardware concurrency, capped by the router
-// count; forced to 1 by --jobs, --netrpc and --trace-out.
+// count; auto resolves to 1 under --jobs, --netrpc and --trace-out, and
+// an explicit N > 1 with any of them exits 1.
 //
 // --faults FILE (cluster mode) loads a chaos schedule in the faults DSL
 // (docs/faults.md), validates it (tenant= qualifiers must name tenants
@@ -150,17 +151,32 @@ int run_cluster(const std::string& topo, int blocks, int shards,
   cluster::ClusterSpec spec;
   spec.racks = racks;
   spec.workers_per_rack = wpr;
-  if (shards <= 0) {
+  // The multi-tenant job manager and the Perfetto tracer keep
+  // cross-router state without per-shard synchronisation
+  // (docs/performance.md "When `--shards 1` is required").
+  const char* serial_flag = nullptr;
+  if (!jobs_path.empty()) {
+    serial_flag = "--jobs";
+  } else if (netrpc_demo) {
+    serial_flag = "--netrpc";
+  } else if (!trace_out.empty()) {
+    serial_flag = "--trace-out";
+  }
+  if (serial_flag != nullptr && shards > 1) {
+    std::fprintf(stderr,
+                 "trio-run: --shards %d cannot be combined with %s, which "
+                 "runs on one shard; see docs/performance.md \"When "
+                 "`--shards 1` is required\"\n",
+                 shards, serial_flag);
+    return 1;
+  }
+  if (serial_flag != nullptr) {
+    shards = 1;
+  } else if (shards <= 0) {
     // Auto: one shard per hardware thread, capped by the router count
     // inside Cluster::effective_shards.
     const unsigned hw = std::thread::hardware_concurrency();
     shards = hw > 0 ? int(hw) : 1;
-  }
-  if (!jobs_path.empty() || netrpc_demo || !trace_out.empty()) {
-    // The multi-tenant job manager and the Perfetto tracer keep
-    // cross-router state without per-shard synchronisation
-    // (docs/performance.md "when --shards 1 is required").
-    shards = 1;
   }
   spec.shards = shards;
   if (telem.metrics.enabled() || telem.tracer.enabled()) {
