@@ -31,6 +31,15 @@ inline std::string fmt(double v, int prec = 2) {
   return buf;
 }
 
+/// A 64-bit digest as 16 lowercase hex digits, the form the figure benches
+/// print and record.
+inline std::string hex64(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 /// Machine-readable counterpart of the printed table: one JSON object per
 /// row, written as an array to the `--json-out=<file>` destination.
 ///
@@ -40,15 +49,11 @@ inline std::string fmt(double v, int prec = 2) {
 class JsonSeries {
  public:
   JsonSeries& number(const std::string& key, double value) {
-    std::ostringstream os;
-    telemetry::json_string(os, key);
-    os << ": ";
-    telemetry::json_number(os, value);
-    fields_.push_back(os.str());
-    return *this;
+    return numeric(key, value);
   }
+  /// Written as the exact integer, so 64-bit digests and counts survive.
   JsonSeries& number(const std::string& key, std::uint64_t value) {
-    return number(key, double(value));
+    return numeric(key, value);
   }
   JsonSeries& string(const std::string& key, const std::string& value) {
     std::ostringstream os;
@@ -92,6 +97,16 @@ class JsonSeries {
   }
 
  private:
+  template <typename T>
+  JsonSeries& numeric(const std::string& key, T value) {
+    std::ostringstream os;
+    telemetry::json_string(os, key);
+    os << ": ";
+    telemetry::json_number(os, value);
+    fields_.push_back(os.str());
+    return *this;
+  }
+
   std::vector<std::string> fields_;
   std::vector<std::string> rows_;
 };

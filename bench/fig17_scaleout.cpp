@@ -158,6 +158,7 @@ int main(int argc, char** argv) {
   double wall_1 = 0;
   std::uint64_t digest_1 = 0;
   bool digests_ok = true;
+  std::string digests;  // one per shard count, in sweep order
   for (const int shards : {1, 2, 4, 8}) {
     cluster::Cluster cl(make_spec(big, shards));
     const auto wall_start = Clock::now();
@@ -176,6 +177,7 @@ int main(int argc, char** argv) {
     }
     const bool digest_ok = digest == digest_1;
     digests_ok = digests_ok && digest_ok;
+    digests += " " + benchutil::hex64(digest);
     const double speedup = wall_ms <= 0 ? 0 : wall_1 / wall_ms;
     const double events_per_sec =
         wall_ms <= 0 ? 0 : double(events) / (wall_ms / 1e3);
@@ -196,9 +198,11 @@ int main(int argc, char** argv) {
     benchutil::perf_fields(series, wall_ms, events)
         .number("speedup_vs_1", speedup)
         .number("sync_rounds", cl.engine().rounds())
+        .string("digest", benchutil::hex64(digest))
         .boolean("digest_matches_shards_1", digest_ok)
         .end_row();
   }
+  std::printf("result digests at 1/2/4/8 shards:%s\n", digests.c_str());
   if (!digests_ok) {
     // The determinism contract is absolute: any shard count must produce
     // the same gradients, completion count and final clock. Wall-clock

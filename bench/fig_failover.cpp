@@ -140,6 +140,9 @@ int main(int argc, char** argv) {
   benchutil::JsonSeries series;
   int failures = 0;
   if (baseline.finished != 8 || baseline.failovers != 0) ++failures;
+  std::string digests = "fault-free: result " +
+                        benchutil::hex64(baseline.result_digest) + " log " +
+                        benchutil::hex64(baseline.log_digest) + "\n";
   for (double kill_us : kill_sweep_us) {
     const Outcome a = run_point(kill_us, blocks);
     const Outcome b = run_point(kill_us, blocks);
@@ -178,10 +181,18 @@ int main(int argc, char** argv) {
         .number("blocks_invalidated", a.blocks_invalidated)
         .number("failovers", a.failovers)
         .number("degraded_blocks", a.degraded_blocks)
+        .string("result_digest", benchutil::hex64(a.result_digest))
+        .string("log_digest", benchutil::hex64(a.log_digest))
+        .string("baseline_result_digest",
+                benchutil::hex64(baseline.result_digest))
         .boolean("bit_identical", bit_identical)
         .boolean("deterministic", deterministic)
         .end_row();
+    digests += "kill " + benchutil::fmt(kill_us, 0) + " us: result " +
+               benchutil::hex64(a.result_digest) + " log " +
+               benchutil::hex64(a.log_digest) + "\n";
   }
+  std::printf("\ndigests:\n%s", digests.c_str());
 
   if (!json_out.empty() && series.write_file(json_out)) {
     std::printf("\nwrote %zu rows to %s\n", series.row_count(),

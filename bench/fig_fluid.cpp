@@ -315,10 +315,7 @@ int main(int argc, char** argv) {
     const bool ok = r.digest == digest_1 && r.fluid_bytes == fluid_1 &&
                     r.packet_frames == frames_1 && r.transitions >= 2;
     if (!ok) ++failures;
-    char dig[20];
-    std::snprintf(dig, sizeof dig, "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    benchutil::row({std::to_string(shards), dig,
+    benchutil::row({std::to_string(shards), benchutil::hex64(r.digest),
                     benchutil::fmt(double(r.fluid_bytes) / 1e6, 1),
                     std::to_string(r.packet_frames),
                     benchutil::fmt(r.wall_ms, 0), ok ? "yes" : "NO"},

@@ -9,6 +9,7 @@
 #include "microcode/compiler.hpp"
 #include "microcode/interpreter.hpp"
 #include "net/packet.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 #include "trio/hash_table.hpp"
@@ -55,8 +56,8 @@ BENCHMARK(BM_EventQueueScheduleRunCapture);
 
 void BM_EventQueueCancel(benchmark::State& state) {
   // The timer-thread / retransmit pattern: arm, cancel before firing,
-  // re-arm. The indexed heap removes cancelled entries immediately
-  // instead of tombstoning them through the pop path.
+  // re-arm. The queue removes cancelled entries immediately instead of
+  // tombstoning them through the pop path.
   sim::Simulator sim;
   std::uint64_t sink = 0;
   std::vector<sim::EventId> ids(1000);
@@ -77,6 +78,61 @@ void BM_EventQueueCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueCancel);
+
+// One link in a self-rescheduling chain: each hop schedules the next one
+// at the following delay of a shared table.
+struct Hop {
+  sim::Simulator* sim;
+  const std::vector<sim::Duration>* delays;
+  std::size_t* next;
+  std::uint64_t* ran;
+  void operator()() const {
+    ++*ran;
+    const sim::Duration d = (*delays)[*next % delays->size()];
+    ++*next;
+    sim->schedule_in(d, *this);
+  }
+};
+
+void BM_EventQueueNearFarMix(benchmark::State& state) {
+  // Schedule-ahead delays as measured on the trio_bench workloads: 40% in
+  // the MQSS tail-read class (256-511 ns), most of the rest under 2 us,
+  // 5% at 4-8 us (NetRPC replies), and 1% past the near-time wheel.
+  sim::Rng rng(7);
+  std::vector<sim::Duration> delays(4096);
+  for (auto& d : delays) {
+    const double u = rng.next_double();
+    std::uint64_t ns;
+    if (u < 0.40) {
+      ns = 256 + rng.next_below(256);
+    } else if (u < 0.94) {
+      ns = rng.next_below(2048);
+    } else if (u < 0.99) {
+      ns = 4096 + rng.next_below(4096);
+    } else {
+      ns = static_cast<std::uint64_t>(sim::EventQueue::kWheelNs) +
+           rng.next_below(56 * 1024);
+    }
+    d = sim::Duration(static_cast<std::int64_t>(ns));
+  }
+  // 256 chains keep the queue at a steady depth with near and far events
+  // pending together.
+  sim::Simulator sim;
+  std::size_t next = 0;
+  std::uint64_t ran = 0;
+  for (int i = 0; i < 256; ++i) {
+    sim.schedule_in(delays[static_cast<std::size_t>(i)],
+                    Hop{&sim, &delays, &next, &ran});
+  }
+  sim.run_until(sim.now() + sim::Duration::micros(100));  // warm-up
+  ran = 0;
+  for (auto _ : state) {
+    sim.run_until(sim.now() + sim::Duration::micros(10));
+  }
+  benchmark::DoNotOptimize(ran);
+  state.SetItemsProcessed(static_cast<std::int64_t>(ran));
+}
+BENCHMARK(BM_EventQueueNearFarMix);
 
 void BM_PacketMakeRecycle(benchmark::State& state) {
   // Steady-state packet churn: frame storage and the shared_ptr cell come

@@ -5,13 +5,12 @@
 
 namespace net {
 
-void Buffer::check(std::size_t off, std::size_t len, const char* what) const {
-  if (off + len > bytes_.size() || off + len < off) {
-    throw std::out_of_range(std::string("Buffer::") + what + ": [" +
-                            std::to_string(off) + ", " +
-                            std::to_string(off + len) + ") exceeds size " +
-                            std::to_string(bytes_.size()));
-  }
+void Buffer::throw_out_of_range(std::size_t off, std::size_t len,
+                                const char* what) const {
+  throw std::out_of_range(std::string("Buffer::") + what + ": [" +
+                          std::to_string(off) + ", " +
+                          std::to_string(off + len) + ") exceeds size " +
+                          std::to_string(bytes_.size()));
 }
 
 std::uint8_t Buffer::u8(std::size_t off) const {

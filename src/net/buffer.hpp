@@ -61,7 +61,16 @@ class Buffer {
   std::string hex() const;
 
  private:
-  void check(std::size_t off, std::size_t len, const char* what) const;
+  // The range test inlines into every accessor; only the throw is out of
+  // line.
+  void check(std::size_t off, std::size_t len, const char* what) const {
+    if (off + len > bytes_.size() || off + len < off) [[unlikely]] {
+      throw_out_of_range(off, len, what);
+    }
+  }
+  [[noreturn, gnu::cold]] void throw_out_of_range(std::size_t off,
+                                                  std::size_t len,
+                                                  const char* what) const;
   std::vector<std::uint8_t> bytes_;
 };
 

@@ -93,18 +93,25 @@ TEST(AllocCount, SteadyStateEventSchedulingIsAllocationFree) {
   sim::Simulator sim;
   std::uint64_t sink = 0;
   const LinkSizedWork work{&sink, nullptr, 3, 1, 2, 3};
-  // Warm-up: grows the heap array, the slot table and the freelist to
-  // their steady-state footprint.
+  // Every fourth event lands beyond the near-time wheel, so the heap tier
+  // and migration into the wheel run too.
+  const auto delay = [](int i) {
+    return i % 4 == 0
+               ? sim::Duration(sim::EventQueue::kWheelNs + (i % 13) * 997)
+               : sim::Duration(i % 17);
+  };
+  // Warm-up: grows the heap array and the slot table to their
+  // steady-state footprint.
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 1024; ++i) {
-      sim.schedule_in(sim::Duration(i % 17), work);
+      sim.schedule_in(delay(i), work);
     }
     sim.run();
   }
   const std::uint64_t before = allocs();
   for (int round = 0; round < 16; ++round) {
     for (int i = 0; i < 1024; ++i) {
-      sim.schedule_in(sim::Duration(i % 17), work);
+      sim.schedule_in(delay(i), work);
     }
     sim.run();
   }
@@ -137,9 +144,8 @@ TEST(AllocCount, CancelAndRescheduleIsAllocationFree) {
 }
 
 TEST(AllocCount, CohortPopSteadyStateIsAllocationFree) {
-  // run_window() dispatches same-instant events as cohorts through a
-  // reused batch buffer; once that buffer and the heap are warm, crowded
-  // timestamps must not allocate.
+  // run_window() drains each instant's wheel bucket as one cohort; once
+  // the slot table is warm, crowded timestamps must not allocate.
   sim::Simulator sim;
   std::uint64_t sink = 0;
   const LinkSizedWork work{&sink, nullptr, 3, 1, 2, 3};

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "sim/digest.hpp"
 #include "sim/event_queue.hpp"
@@ -100,8 +103,8 @@ TEST(EventQueue, CohortPopRunsWholeInstantInFifoOrder) {
 
 TEST(EventQueue, CohortMemberCanCancelUnfiredSibling) {
   // A cohort member cancelling a later member of the same batch: the
-  // sibling is already extracted from the heap, so cancel() must reach
-  // into the cohort buffer and the sibling must not fire.
+  // sibling is still in the instant's bucket, so cancel() unlinks it and
+  // the sibling must not fire.
   sim::EventQueue q;
   std::vector<int> order;
   sim::EventId victim;
@@ -135,6 +138,215 @@ TEST(EventQueue, CohortFollowUpsAtSameInstantRunAfterTheBatch) {
   EXPECT_EQ(n, 4u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 20}));
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MigratedFarEventRunsBeforeLaterDirectInsertAtSameInstant) {
+  // An event scheduled beyond the wheel waits in the heap; once the
+  // window reaches its instant it migrates into the bucket, and a direct
+  // insert for the same instant made afterwards must still run second.
+  sim::EventQueue q;
+  const sim::Time far(3 * sim::EventQueue::kWheelNs);
+  std::vector<int> order;
+  q.schedule(far, [&] { order.push_back(1); });
+  q.schedule(far - sim::Duration(sim::EventQueue::kWheelNs - 1), [&] {
+    order.push_back(0);
+    q.schedule(far, [&] { order.push_back(2); });  // inside the window now
+  });
+  q.schedule(far + sim::Duration(1), [&] { order.push_back(3); });
+  EXPECT_EQ(q.next_time(), far - sim::Duration(sim::EventQueue::kWheelNs - 1));
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.last_popped(), far + sim::Duration(1));
+}
+
+// Drives a Simulator with a seeded mix of schedules, cancels, cohort
+// drains (run_window) and run_until stops, and checks every step against a
+// reference ordered set of (time, seq): each event must be the reference
+// minimum when it fires, every cancel must report exactly whether the
+// event was still pending, and size and next time must agree throughout.
+class QueueModel {
+ public:
+  explicit QueueModel(std::uint64_t seed) : rng_(seed) {}
+
+  void step() {
+    switch (rng_.next_below(8)) {
+      case 0:
+      case 1:
+      case 2:
+        schedule();
+        break;
+      case 3:
+        cancel_one();
+        break;
+      case 4: {  // run_until stop: everything due runs, nothing later does
+        const sim::Time deadline = sim_.now() + pick_delay();
+        sim_.run_until(deadline);
+        EXPECT_EQ(sim_.now(), deadline);
+        if (!ref_.empty()) {
+          EXPECT_GT(ref_.begin()->first, deadline.ns());
+        }
+        break;
+      }
+      case 5: {  // a shard window: whole instants run as cohorts
+        const sim::Time end = sim_.now() + pick_delay() + sim::Duration(1);
+        sim_.run_window(end);
+        if (!ref_.empty()) {
+          EXPECT_GE(ref_.begin()->first, end.ns());
+        }
+        break;
+      }
+      case 6:  // exactly one cohort
+        if (sim_.pending()) {
+          sim_.run_window(sim_.next_event_time() + sim::Duration(1));
+        }
+        break;
+      default:  // one instant, through the serial loop
+        if (sim_.pending()) sim_.run_until(sim_.next_event_time());
+        break;
+    }
+    check_front();
+  }
+
+  void drain() {
+    sim_.run();
+    EXPECT_TRUE(ref_.empty());
+    check_front();
+  }
+
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t cancelled() const { return cancelled_; }
+  /// Cancels of events beyond the wheel, i.e. in the heap.
+  std::uint64_t cancelled_far() const { return cancelled_far_; }
+  /// Cancels, from a callback, of a pending event at the running instant.
+  std::uint64_t cancelled_siblings() const { return cancelled_siblings_; }
+  std::uint64_t far_schedules() const { return far_schedules_; }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (time ns, seq)
+
+  sim::Duration pick_delay() {
+    constexpr std::uint64_t kW = sim::EventQueue::kWheelNs;
+    const auto ns = [](std::uint64_t v) {
+      return sim::Duration(static_cast<std::int64_t>(v));
+    };
+    switch (rng_.next_below(6)) {
+      case 0:
+        return ns(0);  // same instant: cohort follow-ups
+      case 1:
+        return ns(rng_.next_below(64));
+      case 2:
+        return ns(rng_.next_below(kW));
+      case 3:  // the wheel's edge: kW - 2 .. kW + 2
+        return ns(kW - 2 + rng_.next_below(5));
+      case 4:
+        return ns(kW + rng_.next_below(3 * kW));
+      default:  // jumps far longer than the wheel
+        return ns(rng_.next_below(40 * kW));
+    }
+  }
+
+  void schedule() { schedule_in(pick_delay()); }
+
+  void schedule_in(sim::Duration delay) {
+    if (delay.ns() >= sim::EventQueue::kWheelNs) ++far_schedules_;
+    const Key key{(sim_.now() + delay).ns(), next_seq_++};
+    ref_.insert(key);
+    const sim::EventId id =
+        sim_.schedule_in(delay, [this, key] { fire(key); });
+    // The most recent handles, most of them still pending.
+    if (handles_.size() < 64) {
+      handles_.emplace_back(id, key);
+    } else {
+      handles_[key.second % 64] = {id, key};
+    }
+  }
+
+  // Cancels a remembered handle: pending in the wheel or the heap, a
+  // not-yet-run member of the running cohort, the running event itself,
+  // or one already fired or cancelled.
+  void cancel_one() {
+    if (handles_.empty()) return;
+    // Half the time one of the last few, often at the running instant.
+    const std::size_t pick =
+        rng_.next_below(2) == 0
+            ? (next_seq_ - 1 - rng_.next_below(4)) % handles_.size()
+            : rng_.next_below(handles_.size());
+    const auto& [id, key] = handles_[pick];
+    const bool pending = ref_.erase(key) == 1;
+    EXPECT_EQ(sim_.cancel(id), pending) << "time " << key.first << " seq "
+                                        << key.second;
+    if (!pending) return;
+    ++cancelled_;
+    if (key.first - sim_.now().ns() >= sim::EventQueue::kWheelNs) {
+      ++cancelled_far_;
+    }
+    if (firing_ && key.first == sim_.now().ns()) ++cancelled_siblings_;
+  }
+
+  void fire(const Key& key) {
+    ASSERT_FALSE(ref_.empty());
+    EXPECT_EQ(*ref_.begin(), key);
+    EXPECT_EQ(sim_.now().ns(), key.first);
+    ref_.erase(key);
+    ++fired_;
+    firing_ = true;
+    // Callbacks schedule and cancel too, including same-instant follow-ups
+    // and siblings of their own cohort.
+    switch (rng_.next_below(5)) {
+      case 0:
+        schedule();
+        break;
+      case 1:
+        cancel_one();
+        break;
+      case 2:
+        schedule();
+        cancel_one();
+        break;
+      case 3:  // grow the running cohort, then maybe cancel a member
+        schedule_in(sim::Duration(0));
+        schedule_in(sim::Duration(0));
+        cancel_one();
+        break;
+      default:
+        break;
+    }
+    firing_ = false;
+  }
+
+  void check_front() {
+    EXPECT_EQ(sim_.queue_size(), ref_.size());
+    const sim::Time expected =
+        ref_.empty() ? sim::Time::max() : sim::Time(ref_.begin()->first);
+    EXPECT_EQ(sim_.next_event_time(), expected);
+  }
+
+  sim::Simulator sim_;
+  sim::Rng rng_;
+  std::set<Key> ref_;
+  std::vector<std::pair<sim::EventId, Key>> handles_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t cancelled_far_ = 0;
+  std::uint64_t cancelled_siblings_ = 0;
+  bool firing_ = false;
+  std::uint64_t far_schedules_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceOrderUnderSeededScheduleCancelRun) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    QueueModel model(seed);
+    for (int i = 0; i < 20000; ++i) model.step();
+    model.drain();
+    // The mix must really exercise both tiers and cancellation.
+    EXPECT_GT(model.fired(), 10000u);
+    EXPECT_GT(model.cancelled(), 1000u);
+    EXPECT_GT(model.cancelled_far(), 100u);
+    EXPECT_GT(model.cancelled_siblings(), 100u);
+    EXPECT_GT(model.far_schedules(), 5000u);
+  }
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
