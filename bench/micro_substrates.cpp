@@ -6,6 +6,8 @@
 //     (simulator-host performance, i.e. how fast the simulation runs).
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "microcode/compiler.hpp"
 #include "microcode/interpreter.hpp"
 #include "net/packet.hpp"
@@ -13,6 +15,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 #include "trio/hash_table.hpp"
+#include "trio/reorder.hpp"
 #include "trio/router.hpp"
 #include "trio/sms.hpp"
 #include "trioml/testbed.hpp"
@@ -218,6 +221,48 @@ void BM_HashScanPartitioned(benchmark::State& state) {
       static_cast<double>(table.partition_buckets(parts));
 }
 BENCHMARK(BM_HashScanPartitioned)->Arg(1)->Arg(10)->Arg(100);
+
+void BM_HashScanSparse(benchmark::State& state) {
+  // An aging scan XTXN over a mostly empty table, like the NetRPC cache
+  // scan: 64 keys in 16384 buckets. The occupancy bitmap lets the walk
+  // skip the empty buckets; aged keys go straight into the reply.
+  sim::Simulator sim;
+  trio::HwHashTable table(sim, trio::Calibration{}, 1 << 14);
+  for (std::uint64_t k = 0; k < 64; ++k) table.insert(k * 977, k);
+  trio::XtxnRequest req;
+  req.op = trio::XtxnOp::kHashScanStep;
+  req.arg0 = std::uint64_t{1} << 32;  // one partition: the whole table
+  req.arg1 = 64;
+  trio::XtxnReply reply;
+  for (auto _ : state) {
+    table.issue(req, reply);
+    benchmark::DoNotOptimize(reply.value);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HashScanSparse);
+
+void BM_ReorderEngineOpenClose(benchmark::State& state) {
+  // The Reorder Engine's per-packet work: open a ticket on one of 64
+  // flows, attach its output, and close it a random while later (32
+  // tickets in flight), so tickets close out of order and wait behind
+  // their flow's head.
+  std::uint64_t released = 0;
+  trio::ReorderEngine re(
+      [&released](trio::ReorderEngine::Output) { ++released; });
+  std::array<std::uint64_t, 32> inflight{};
+  sim::Rng rng(7);
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    std::uint64_t& t = inflight[rng.next_below(inflight.size())];
+    if (t != 0) re.close(t);
+    t = re.open(i % 64);
+    re.attach(t, {nullptr, i++});
+  }
+  benchmark::DoNotOptimize(released);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReorderEngineOpenClose);
 
 void BM_PacketParse(benchmark::State& state) {
   std::vector<std::uint32_t> grads(256, 7);

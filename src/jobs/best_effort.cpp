@@ -1,7 +1,7 @@
 #include "jobs/best_effort.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "trioml/addressing.hpp"
 
@@ -25,6 +25,8 @@ void BestEffortSource::start(sim::Time at, sim::Time until) {
   if (running_) return;
   running_ = true;
   until_ = until;
+  frames_delivered_ = 0;
+  bytes_delivered_ = 0;
   next_ = sim_.schedule_at(at < sim_.now() ? sim_.now() : at,
                            [this] { emit(); });
 }
@@ -41,11 +43,17 @@ void BestEffortSource::emit() {
     running_ = false;
     return;
   }
-  std::vector<std::uint8_t> payload(config_.frame_payload_bytes, 0xbe);
   auto frame = net::build_udp_frame(
       config_.eth_src, config_.eth_dst, config_.ip_src, config_.ip_dst,
-      trioml::best_effort_src_port(config_.tenant), /*udp_dst=*/9, payload);
-  tx_.send(net::Packet::make(std::move(frame)));
+      trioml::best_effort_src_port(config_.tenant), /*udp_dst=*/9,
+      config_.frame_payload_bytes);
+  std::ranges::fill(
+      frame.mutable_bytes().subspan(net::UdpFrameLayout::kPayloadOff), 0xbe);
+  const std::size_t bytes = frame.size();
+  if (tx_.send(net::Packet::make(std::move(frame)))) {
+    ++frames_delivered_;
+    bytes_delivered_ += bytes;
+  }
   ++frames_offered_;
   next_ = sim_.schedule_in(interval_, [this] { emit(); });
 }

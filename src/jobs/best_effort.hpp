@@ -40,6 +40,10 @@ class BestEffortSource {
   bool running() const { return running_; }
 
   std::uint64_t frames_offered() const { return frames_offered_; }
+  /// Frames (and their bytes) the injection link accepted since the last
+  /// start(); the rest were tail-dropped at the link.
+  std::uint64_t frames_delivered() const { return frames_delivered_; }
+  std::uint64_t bytes_delivered() const { return bytes_delivered_; }
 
  private:
   void emit();
@@ -52,6 +56,8 @@ class BestEffortSource {
   bool running_ = false;
   sim::EventId next_{};
   std::uint64_t frames_offered_ = 0;
+  std::uint64_t frames_delivered_ = 0;
+  std::uint64_t bytes_delivered_ = 0;
 };
 
 }  // namespace jobs

@@ -29,6 +29,9 @@ std::vector<std::uint32_t> netrpc_put_values(TenantId id, std::uint64_t key,
 std::uint64_t TenantRun::digest() const {
   if (kind == TenantKind::kNetRpc) return netrpc.value_digest.value();
   sim::Digest d;
+  if (kind == TenantKind::kBestEffort) {
+    return d.u64(frames_delivered).u64(bytes_delivered).value();
+  }
   for (const auto& res : results) d.counted(res.grads);
   return d.value();
 }
@@ -527,6 +530,12 @@ MultiTenantRun JobManager::run(std::uint16_t gen_id, sim::Time deadline) {
   }
   for (TenantId id : admission_order_) {
     for (auto& source : tenants_.at(id).sources) source->stop();
+  }
+  for (auto& tr : run.tenants) {
+    for (const auto& source : tenants_.at(tr.id).sources) {
+      tr.frames_delivered += source->frames_delivered();
+      tr.bytes_delivered += source->bytes_delivered();
+    }
   }
   if (fluid_) fluid_->stop();
   for (auto& tr : run.tenants) {

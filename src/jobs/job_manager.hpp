@@ -72,6 +72,10 @@ struct TenantRun {
   std::vector<trioml::AllreduceResult> results;
   /// Populated for netrpc tenants only.
   NetRpcRun netrpc;
+  /// Populated for best-effort tenants only: frames and bytes their
+  /// sources' host links accepted during the run.
+  std::uint64_t frames_delivered = 0;
+  std::uint64_t bytes_delivered = 0;
   int finished = 0;
   sim::Time start;
   sim::Time finish;  // last result arrival (or the deadline)
@@ -79,7 +83,8 @@ struct TenantRun {
   double duration_us() const { return (finish - start).us(); }
   /// FNV-1a fingerprint: over every worker's result gradients in order
   /// for allreduce tenants, over every op's values in completion order
-  /// for netrpc tenants (equal across deterministic replays).
+  /// for netrpc tenants, over the delivered frame and byte counts for
+  /// best-effort tenants (equal across deterministic replays).
   std::uint64_t digest() const;
 };
 

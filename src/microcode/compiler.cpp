@@ -5,6 +5,7 @@
 
 #include "microcode/error.hpp"
 #include "microcode/parser.hpp"
+#include "trio/program.hpp"
 
 namespace microcode {
 
@@ -259,6 +260,11 @@ class Compiler {
               "bus variables are plain scalars without initializers "
               "(they only exist within one instruction)",
               g.line, g.col);
+        }
+        if (prog_->bus_slots >= static_cast<int>(trio::kBusLanes)) {
+          throw CompileError("at most " + std::to_string(trio::kBusLanes) +
+                                 " bus variables (one per operand-bus lane)",
+                             g.line, g.col);
         }
         Location loc;
         loc.kind = Location::Kind::kBus;

@@ -21,9 +21,7 @@ namespace {
 
 MicrocodeThread::MicrocodeThread(
     std::shared_ptr<const CompiledProgram> program)
-    : prog_(std::move(program)) {
-  bus_.assign(static_cast<std::size_t>(prog_->bus_slots), 0);
-}
+    : prog_(std::move(program)) {}
 
 std::uint64_t MicrocodeThread::load(const Location& loc,
                                     trio::ThreadContext& ctx) const {
@@ -37,7 +35,7 @@ std::uint64_t MicrocodeThread::load(const Location& loc,
     case Location::Kind::kBuiltin:
       return ctx.packet ? ctx.packet->size() : 0;  // r_work.pkt_len
     case Location::Kind::kBus:
-      return bus_[static_cast<std::size_t>(loc.bus_slot)];
+      return ctx.bus[static_cast<std::size_t>(loc.bus_slot)];
   }
   return 0;
 }
@@ -52,7 +50,7 @@ void MicrocodeThread::store(const Location& loc, std::uint64_t v,
       ctx.lmem.set_u64(loc.lmem_offset, v);
       return;
     case Location::Kind::kBus:
-      bus_[static_cast<std::size_t>(loc.bus_slot)] = v;
+      ctx.bus[static_cast<std::size_t>(loc.bus_slot)] = v;
       return;
     default:
       throw std::logic_error("store to non-writable location");
@@ -280,12 +278,12 @@ MicrocodeThread::Control MicrocodeThread::exec_stmt(
     case Stmt::Kind::kGoto:
       return {Control::Kind::kGoto, s.target_block};
     case Stmt::Kind::kCall:
-      if (call_stack_.size() >= 8) {
+      if (call_depth_ >= kMaxCallDepth) {
         trap("call depth exceeds 8 (hardware limit)", s.line, s.col);
       }
       return {Control::Kind::kCallXfer, s.target_block};
     case Stmt::Kind::kReturn:
-      if (call_stack_.empty()) {
+      if (call_depth_ == 0) {
         trap("return without call", s.line, s.col);
       }
       return {Control::Kind::kReturnXfer};
@@ -299,11 +297,11 @@ MicrocodeThread::Control MicrocodeThread::exec_stmt(
         if (!ctx.packet) trap("Forward() on a packet-less thread", s.line, s.col);
         const std::size_t head = ctx.packet->head_size();
         ctx.packet->frame().write(0, ctx.lmem.view(0, head));
-        drained_.push_back(trio::ActEmitPacket{
+        ctx.actions.push_back(trio::ActEmitPacket{
             ctx.packet, static_cast<std::uint32_t>(args[0]), 0});
         return {};
       }
-      drained_.push_back(trio::ActAsyncXtxn{
+      ctx.actions.push_back(trio::ActAsyncXtxn{
           build_request(in, args, s.line, s.col, ctx), 0});
       return {};
     }
@@ -323,7 +321,7 @@ MicrocodeThread::Control MicrocodeThread::exec_stmts(
 }
 
 trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
-  if (!drained_.empty()) return drained_.pop_front();
+  if (!ctx.actions.empty()) return ctx.actions.pop_front();
   if (exited_) return trio::ActExit{0};
   if (!started_) {
     started_ = true;
@@ -342,7 +340,7 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
                          /*top_level=*/true, ctx);
 
   // Translate the block's control transfer into the primary action; any
-  // posted XTXNs / emits collected in drained_ follow as zero-instruction
+  // posted XTXNs / emits collected in ctx.actions follow as zero-instruction
   // actions (they belong to this same micro-instruction).
   trio::Action primary = trio::ActContinue{1};
   switch (c.kind) {
@@ -354,15 +352,14 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
       }
       break;
     case Control::Kind::kCallXfer:
-      call_stack_.emplace_back(pc_, stmt_idx_ + 1);
+      call_stack_[call_depth_++] = {pc_, stmt_idx_ + 1};
       [[fallthrough]];
     case Control::Kind::kGoto:
       pc_ = c.target;
       stmt_idx_ = 0;
       break;
     case Control::Kind::kReturnXfer:
-      std::tie(pc_, stmt_idx_) = call_stack_.back();
-      call_stack_.pop_back();
+      std::tie(pc_, stmt_idx_) = call_stack_[--call_depth_];
       break;
     case Control::Kind::kSync:
       primary = trio::ActSyncXtxn{std::move(c.sync_req), 1};
@@ -373,13 +370,13 @@ trio::Action MicrocodeThread::step(trio::ThreadContext& ctx) {
       break;
   }
 
-  if (!drained_.empty()) {
+  if (!ctx.actions.empty()) {
     // Emit/posted actions first (they happen inside the instruction),
     // then the control action. Charge the single instruction on the first
     // action returned.
     std::visit([](auto& a) { a.instructions = 0; }, primary);
-    drained_.push_back(std::move(primary));
-    trio::Action first = drained_.pop_front();
+    ctx.actions.push_back(std::move(primary));
+    trio::Action first = ctx.actions.pop_front();
     std::visit([](auto& a) { a.instructions = 1; }, first);
     return first;
   }

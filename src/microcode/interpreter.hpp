@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "microcode/compiler.hpp"
@@ -74,15 +75,13 @@ class MicrocodeThread : public trio::PpeProgram {
   // SmsReadVec continuation: LMEM offset the reply payload lands at.
   std::size_t pending_vec_off_ = 0;
 
-  // Posted XTXNs / emits produced by the current block, drained as
-  // zero-instruction actions after the block's own instruction charge.
-  trio::ActionQueue drained_;
-
-  std::vector<std::pair<std::size_t, std::size_t>> call_stack_;
-
-  // Operand-bus lanes for 'bus'-class variables (one instruction's
-  // lifetime; the compiler enforces no cross-instruction reads).
-  mutable std::vector<std::uint64_t> bus_;
+  // Return points (block, statement) of the active calls: the hardware
+  // nests calls at most eight deep, so the stack is a fixed array. Posted
+  // XTXNs and emits produced by a block wait in the thread's action
+  // queue, and 'bus'-class variables live in its operand-bus lanes.
+  static constexpr std::size_t kMaxCallDepth = 8;
+  std::array<std::pair<std::size_t, std::size_t>, kMaxCallDepth> call_stack_{};
+  std::size_t call_depth_ = 0;
 };
 
 /// Wraps a compiled program as a per-packet program factory for

@@ -63,8 +63,8 @@ std::uint64_t PacketCellPool::reuses() {
 Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
                        Ipv4Addr ip_src, Ipv4Addr ip_dst,
                        std::uint16_t udp_src, std::uint16_t udp_dst,
-                       std::span<const std::uint8_t> payload) {
-  const std::size_t total = UdpFrameLayout::kPayloadOff + payload.size();
+                       std::size_t payload_bytes) {
+  const std::size_t total = UdpFrameLayout::kPayloadOff + payload_bytes;
   Buffer buf = BufferPool::instance().acquire(total);
 
   EthernetHeader eth;
@@ -78,15 +78,23 @@ Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
   ip.dst = ip_dst;
   ip.protocol = Ipv4Header::kProtoUdp;
   ip.total_length = static_cast<std::uint16_t>(
-      Ipv4Header::kSize + UdpHeader::kSize + payload.size());
+      Ipv4Header::kSize + UdpHeader::kSize + payload_bytes);
   ip.write(buf, UdpFrameLayout::kIpOff);
 
   UdpHeader udp;
   udp.src_port = udp_src;
   udp.dst_port = udp_dst;
-  udp.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
+  udp.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload_bytes);
   udp.write(buf, UdpFrameLayout::kUdpOff);
+  return buf;
+}
 
+Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
+                       Ipv4Addr ip_src, Ipv4Addr ip_dst,
+                       std::uint16_t udp_src, std::uint16_t udp_dst,
+                       std::span<const std::uint8_t> payload) {
+  Buffer buf = build_udp_frame(eth_src, eth_dst, ip_src, ip_dst, udp_src,
+                               udp_dst, payload.size());
   buf.write(UdpFrameLayout::kPayloadOff, payload);
   return buf;
 }

@@ -132,6 +132,13 @@ Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
                        std::uint16_t udp_src, std::uint16_t udp_dst,
                        std::span<const std::uint8_t> payload);
 
+/// The same frame with a zero-filled payload of `payload_bytes`, for
+/// builders that write their payload in place (no staging copy).
+Buffer build_udp_frame(const MacAddr& eth_src, const MacAddr& eth_dst,
+                       Ipv4Addr ip_src, Ipv4Addr ip_dst,
+                       std::uint16_t udp_src, std::uint16_t udp_dst,
+                       std::size_t payload_bytes);
+
 /// Offsets of the standard headers in frames built by build_udp_frame.
 struct UdpFrameLayout {
   static constexpr std::size_t kEthOff = 0;

@@ -71,24 +71,25 @@ class NetRpcThread : public microcode::MicrocodeThread {
 /// timer-spawned threads), and the core of the fig_netrpc tail argument.
 class PendingScanProgram : public trio::PpeProgram {
  public:
-  explicit PendingScanProgram(NetRpcApp& app) : app_(app) {
-    tenants_ = app.configured_tenants();
-  }
+  explicit PendingScanProgram(NetRpcApp& app)
+      : app_(app), tenants_(app.configured_tenants()) {}
 
   trio::Action step(trio::ThreadContext& ctx) override {
-    if (!pending_.empty()) return pending_.pop_front();
+    if (!ctx.actions.empty()) return ctx.actions.pop_front();
     return do_step(ctx);
   }
 
  private:
   enum class State { kNextSlot, kMeta, kMerge };
 
+  std::uint8_t tenant() const { return (*tenants_)[ti_]; }
+
   trio::Action do_step(trio::ThreadContext& ctx) {
     switch (state_) {
       case State::kNextSlot: {
         while (true) {
-          if (ti_ >= tenants_.size()) return trio::ActExit{1};
-          NetRpcApp::Service* svc = app_.service_mut(tenants_[ti_]);
+          if (ti_ >= tenants_->size()) return trio::ActExit{1};
+          NetRpcApp::Service* svc = app_.service_mut(tenant());
           if (svc == nullptr) {  // removed since the pass began
             ++ti_;
             slot_ = 0;
@@ -111,7 +112,7 @@ class PendingScanProgram : public trio::PpeProgram {
       }
 
       case State::kMeta: {
-        NetRpcApp::Service* svc = app_.service_mut(tenants_[ti_]);
+        NetRpcApp::Service* svc = app_.service_mut(tenant());
         if (svc == nullptr) {  // torn down while the slot read was in flight
           ++ti_;
           slot_ = 0;
@@ -139,7 +140,7 @@ class PendingScanProgram : public trio::PpeProgram {
         if (arrived_ >= svc->config.server_cnt) {
           // A completed merge left a stale count behind (should not
           // happen — the datapath resets on completion); reclaim.
-          queue_reset(*svc);
+          queue_reset(ctx, *svc);
           ++app_.stats().pending_reset;
           snap = {};
           ++slot_;
@@ -158,7 +159,7 @@ class PendingScanProgram : public trio::PpeProgram {
       }
 
       case State::kMerge: {
-        NetRpcApp::Service* svc = app_.service_mut(tenants_[ti_]);
+        NetRpcApp::Service* svc = app_.service_mut(tenant());
         if (svc == nullptr) {  // torn down between the meta and merge reads
           ++ti_;
           slot_ = 0;
@@ -188,19 +189,19 @@ class PendingScanProgram : public trio::PpeProgram {
             svc->client_ips[client], kRequestUdpPort, kResponseUdpPort, hdr,
             values, cfg.value_words);
 
-        queue_reset(*svc);
+        queue_reset(ctx, *svc);
         trio::ActAsyncXtxn ctr;
         ctr.req.op = trio::XtxnOp::kCounterInc;
         ctr.req.addr = svc->layout.counter_addr(kCtrDegraded);
         ctr.req.arg0 = frame.size();
         ctr.instructions = 0;
-        pending_.push_back(ctr);
+        ctx.actions.push_back(ctr);
 
         trio::ActEmitPacket emit;
         emit.pkt = net::Packet::make(std::move(frame));
         emit.nexthop_id = svc->client_nh[client];
         emit.instructions = 2;
-        pending_.push_back(emit);
+        ctx.actions.push_back(emit);
 
         ++app_.stats().degraded_emitted;
         svc->slot_snapshots[slot_] = {};
@@ -218,7 +219,7 @@ class PendingScanProgram : public trio::PpeProgram {
   /// The owner word keeps the call id and gains the done marker, so the
   /// call's stragglers — which stall_for delays but never drops — read
   /// their own id as completed and drop instead of re-claiming the slot.
-  void queue_reset(const NetRpcApp::Service& svc) {
+  void queue_reset(trio::ThreadContext& ctx, const NetRpcApp::Service& svc) {
     const std::uint64_t slot_addr =
         svc.layout.pending_base + slot_ * kPendingSlotBytes;
     trio::ActAsyncXtxn meta;
@@ -231,24 +232,23 @@ class PendingScanProgram : public trio::PpeProgram {
           static_cast<std::uint8_t>(done >> (8 * i));
     }
     meta.instructions = 1;
-    pending_.push_back(meta);
+    ctx.actions.push_back(meta);
 
     trio::ActAsyncXtxn buf;
     buf.req.op = trio::XtxnOp::kWrite;
     buf.req.addr = slot_addr + kPendingMergeOff;
     buf.req.data.assign(merge_preset_bytes(svc.config));
     buf.instructions = 1;
-    pending_.push_back(buf);
+    ctx.actions.push_back(buf);
   }
 
   NetRpcApp& app_;
-  std::vector<std::uint8_t> tenants_;
+  std::shared_ptr<const std::vector<std::uint8_t>> tenants_;
   std::size_t ti_ = 0;
   std::size_t slot_ = 0;
   State state_ = State::kNextSlot;
   std::uint64_t owner_ = 0;
   std::uint32_t arrived_ = 0;
-  trio::ActionQueue pending_;
 };
 
 /// Ages the hot-key cache: a check-and-clear REF scan per tenant (keys
@@ -259,30 +259,31 @@ class PendingScanProgram : public trio::PpeProgram {
 /// tenant's slice, leaving other tenants' REF state untouched.
 class CacheScanProgram : public trio::PpeProgram {
  public:
-  explicit CacheScanProgram(NetRpcApp& app) : app_(app) {
-    tenants_ = app.configured_tenants();
-  }
+  explicit CacheScanProgram(NetRpcApp& app)
+      : app_(app), tenants_(app.configured_tenants()) {}
 
   trio::Action step(trio::ThreadContext& ctx) override {
-    if (!pending_.empty()) return pending_.pop_front();
+    if (!ctx.actions.empty()) return ctx.actions.pop_front();
     return do_step(ctx);
   }
 
  private:
   enum class State { kScan, kScanReply, kDeleteReply };
 
+  std::uint8_t tenant() const { return (*tenants_)[ti_]; }
+
   trio::Action do_step(trio::ThreadContext& ctx) {
     switch (state_) {
       case State::kScan: {
-        if (ti_ >= tenants_.size()) return trio::ActExit{1};
-        const NetRpcApp::Service* svc = app_.service(tenants_[ti_]);
+        if (ti_ >= tenants_->size()) return trio::ActExit{1};
+        const NetRpcApp::Service* svc = app_.service(tenant());
         if (svc == nullptr) {
           ++ti_;
           return trio::ActContinue{1};
         }
         const std::uint32_t parts =
             std::max<std::uint32_t>(1, pfe().hash_table().key_partitions());
-        const std::uint32_t part = tenants_[ti_] % parts;
+        const std::uint32_t part = tenant() % parts;
         trio::ActSyncXtxn scan;
         scan.req.op = trio::XtxnOp::kHashScanStep;
         scan.req.arg0 = std::uint64_t(parts) << 32 | part;
@@ -298,7 +299,7 @@ class CacheScanProgram : public trio::PpeProgram {
           const std::uint64_t key = le64(ctx.reply.data, off);
           // Foreign keys (co-tenant jobs, other tenants when partitions
           // are off) are not ours to age.
-          if (tenant_of_key(key) == tenants_[ti_]) {
+          if (tenant_of_key(key) == tenant()) {
             aged_.push_back(key);
           }
         }
@@ -308,7 +309,7 @@ class CacheScanProgram : public trio::PpeProgram {
       }
 
       case State::kDeleteReply: {
-        const NetRpcApp::Service* svc = app_.service(tenants_[ti_]);
+        const NetRpcApp::Service* svc = app_.service(tenant());
         if (ctx.reply.ok && svc != nullptr) {
           const std::uint64_t key = aged_[next_ - 1];
           trio::ActAsyncXtxn clear;
@@ -316,13 +317,13 @@ class CacheScanProgram : public trio::PpeProgram {
           clear.req.addr = svc->layout.cache_slot(key) + kCacheOwnerOff;
           clear.req.data.assign(8, 0);
           clear.instructions = 0;
-          pending_.push_back(clear);
+          ctx.actions.push_back(clear);
           trio::ActAsyncXtxn ctr;
           ctr.req.op = trio::XtxnOp::kCounterInc;
           ctr.req.addr = svc->layout.counter_addr(kCtrCacheAged);
           ctr.req.arg0 = 0;
           ctr.instructions = 0;
-          pending_.push_back(ctr);
+          ctx.actions.push_back(ctr);
           ++app_.stats().cache_aged;
         }
         return next_delete(ctx);
@@ -350,25 +351,25 @@ class CacheScanProgram : public trio::PpeProgram {
     telemetry::Tracer* tracer = pfe().tracer();
     if (tracer == nullptr || !tracer->enabled()) return;
     tracer->counter(pfe().trace_pid(), "netrpc.cache_entries",
-                    "tenant" + std::to_string(int(tenants_[ti_])),
+                    "tenant" + std::to_string(int(tenant())),
                     pfe().router().simulator().now(),
-                    static_cast<double>(app_.cache_entries(tenants_[ti_])));
+                    static_cast<double>(app_.cache_entries(tenant())));
   }
 
   trio::Pfe& pfe() { return app_.pfe(); }
 
   NetRpcApp& app_;
-  std::vector<std::uint8_t> tenants_;
+  std::shared_ptr<const std::vector<std::uint8_t>> tenants_;
   std::size_t ti_ = 0;
   State state_ = State::kScan;
   std::vector<std::uint64_t> aged_;
   std::size_t next_ = 0;
-  trio::ActionQueue pending_;
 };
 
 }  // namespace
 
-NetRpcApp::NetRpcApp(trio::Pfe& pfe) : pfe_(pfe) {
+NetRpcApp::NetRpcApp(trio::Pfe& pfe)
+    : pfe_(pfe), tenants_(std::make_shared<std::vector<std::uint8_t>>()) {
   auto& registry = pfe_.router().telemetry().metrics;
   pfe_latency_hist_ =
       registry.histogram(pfe_.metric_prefix() + "netrpc.pfe_latency_ns");
@@ -419,6 +420,7 @@ void NetRpcApp::configure_service(const ServiceSetup& setup) {
   preset_pending_slots(svc);
   svc.program = compile_datapath(cfg, svc.layout);
   services_.emplace(cfg.tenant, std::move(svc));
+  refresh_tenants();
 }
 
 void NetRpcApp::preset_pending_slots(const Service& svc) {
@@ -435,13 +437,14 @@ void NetRpcApp::remove_service(std::uint8_t tenant) {
   if (services_.count(tenant) == 0) return;
   drop_cache_entries(tenant);
   services_.erase(tenant);
+  refresh_tenants();
 }
 
-std::vector<std::uint8_t> NetRpcApp::configured_tenants() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(services_.size());
-  for (const auto& [tenant, svc] : services_) out.push_back(tenant);
-  return out;
+void NetRpcApp::refresh_tenants() {
+  auto ids = std::make_shared<std::vector<std::uint8_t>>();
+  ids->reserve(services_.size());
+  for (const auto& [tenant, svc] : services_) ids->push_back(tenant);
+  tenants_ = std::move(ids);
 }
 
 void NetRpcApp::install() {

@@ -59,7 +59,13 @@ class NetRpcApp {
   /// the end-host-only deployment fig_netrpc compares against. Service
   /// state stays allocated; throws for unknown tenants.
   void set_bypass(std::uint8_t tenant, bool on);
-  std::vector<std::uint8_t> configured_tenants() const;
+  /// Configured tenant ids in ascending order. The list is replaced, not
+  /// edited, when a service is added or removed, so an aging scan keeps
+  /// the list its pass started with by holding the pointer.
+  std::shared_ptr<const std::vector<std::uint8_t>> configured_tenants()
+      const {
+    return tenants_;
+  }
 
   /// Worst-case SMS bytes the service occupies (admission charge).
   static std::uint64_t worst_case_bytes(const ServiceConfig& cfg) {
@@ -97,7 +103,9 @@ class NetRpcApp {
     std::uint64_t degraded_emitted = 0;    // aged merges completed partial
     std::uint64_t pending_reset = 0;       // stale slots reclaimed by scan
     std::uint64_t cache_aged = 0;          // cache entries aged out
-    sim::Samples pfe_latency_us;  // per-packet time in the datapath
+    // Per-packet time in the datapath, as a streaming summary: a sample
+    // store would grow by one double per packet for the whole run.
+    sim::Summary pfe_latency_us;
   };
   Stats& stats() { return stats_; }
   const Stats& stats() const { return stats_; }
@@ -137,9 +145,11 @@ class NetRpcApp {
 
  private:
   void preset_pending_slots(const Service& svc);
+  void refresh_tenants();
 
   trio::Pfe& pfe_;
   std::map<std::uint8_t, Service> services_;  // ordered: deterministic scans
+  std::shared_ptr<const std::vector<std::uint8_t>> tenants_;
   bool installed_ = false;
   int aging_group_ = -1;
   sim::Duration aging_period_;

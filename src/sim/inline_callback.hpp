@@ -7,7 +7,9 @@
 // constructible; larger or throwing-move callables fall back to a single
 // heap cell, preserving correctness for cold paths. Unlike std::function
 // it is move-only, so captures may own resources (PacketPtr, vectors)
-// without refcount or clone machinery.
+// without refcount or clone machinery. Trivially copyable closures, the
+// common case, carry no manager at all: moving one copies the fixed inline
+// bytes and destroying one makes no indirect call.
 //
 // The inline budgets are chosen so the engine's hot captures never
 // allocate:
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -44,7 +47,12 @@ class InlineFunction<R(Args...), InlineBytes> {
     if constexpr (stores_inline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &inline_invoke<Fn>;
-      manage_ = &inline_manage<Fn>;
+      // A trivially copyable closure (pointers, ids, times) needs no
+      // manager: moving it copies the inline bytes, destroying it is a
+      // no-op. Closures owning a resource (a PacketPtr) keep theirs.
+      if constexpr (!std::is_trivially_copyable_v<Fn>) {
+        manage_ = &inline_manage<Fn>;
+      }
     } else {
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       invoke_ = &heap_invoke<Fn>;
@@ -125,7 +133,11 @@ class InlineFunction<R(Args...), InlineBytes> {
 
   void move_from(InlineFunction& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    other.manage_(Op::kMoveTo, other.storage_, storage_);
+    if (other.manage_ != nullptr) {
+      other.manage_(Op::kMoveTo, other.storage_, storage_);
+    } else {
+      std::memcpy(storage_, other.storage_, InlineBytes);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;
@@ -133,11 +145,11 @@ class InlineFunction<R(Args...), InlineBytes> {
   }
 
   void reset() noexcept {
-    if (invoke_ != nullptr) {
+    if (manage_ != nullptr) {
       manage_(Op::kDestroy, storage_, nullptr);
-      invoke_ = nullptr;
       manage_ = nullptr;
     }
+    invoke_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char storage_[InlineBytes];

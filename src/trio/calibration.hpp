@@ -6,11 +6,16 @@
 // 14-16). See EXPERIMENTS.md for the calibration discussion.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/time.hpp"
 
 namespace trio {
+
+/// Largest tail chunk one MQSS read returns (paper Fig 10); the datapath
+/// sizes its fixed chunk buffers from it.
+inline constexpr std::size_t kMaxTailChunkBytes = 64;
 
 struct Calibration {
   // --- Clocks -------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include "trio/hash_table.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "trio/hash.hpp"
@@ -8,7 +10,8 @@ namespace trio {
 
 HwHashTable::HwHashTable(sim::Simulator& simulator, const Calibration& cal,
                          std::size_t buckets)
-    : sim_(simulator), cal_(cal), buckets_(buckets) {
+    : sim_(simulator), cal_(cal), buckets_(buckets),
+      occupied_((buckets + 63) / 64) {
   if (buckets == 0) throw std::invalid_argument("HwHashTable: 0 buckets");
 }
 
@@ -38,49 +41,67 @@ void HwHashTable::enable_key_partitions(std::uint32_t partitions) {
   // and generations) and redistribute under the new placement.
   std::vector<Record> records;
   records.reserve(size_);
-  for (auto& bucket : buckets_) {
-    records.insert(records.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
+  for_each_occupied(0, buckets_.size(), [&](std::size_t b) {
+    records.insert(records.end(), buckets_[b].begin(), buckets_[b].end());
+    buckets_[b].clear();
+  });
+  std::ranges::fill(occupied_, 0);
+  size_ = 0;
   partitions_ = partitions;
-  for (const Record& r : records) {
-    buckets_[bucket_index(r.key)].push_back(r);
+  for (const Record& r : records) push_record(bucket_index(r.key), r);
+}
+
+template <typename Visit>
+void HwHashTable::for_each_occupied(std::size_t begin, std::size_t end,
+                                    Visit&& visit) const {
+  for (std::size_t w = begin / 64; w * 64 < end; ++w) {
+    std::uint64_t bits = occupied_[w];
+    if (w == begin / 64) bits &= ~std::uint64_t{0} << (begin % 64);
+    if ((w + 1) * 64 > end) bits &= (std::uint64_t{1} << (end % 64)) - 1;
+    for (; bits != 0; bits &= bits - 1) {
+      visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
   }
 }
 
-std::vector<HwHashTable::Record>& HwHashTable::bucket_for(std::uint64_t key) {
-  return buckets_[bucket_index(key)];
+void HwHashTable::push_record(std::size_t bucket, const Record& r) {
+  buckets_[bucket].push_back(r);
+  occupied_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+  ++size_;
 }
 
-void HwHashTable::drop_record(std::vector<Record>& bucket, std::size_t i) {
-  bucket[i] = bucket.back();
-  bucket.pop_back();
+void HwHashTable::drop_record(std::size_t bucket, std::size_t i) {
+  auto& b = buckets_[bucket];
+  b[i] = b.back();
+  b.pop_back();
+  if (b.empty()) occupied_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
   --size_;
 }
 
 bool HwHashTable::insert(std::uint64_t key, std::uint64_t value, bool pinned) {
-  auto& b = bucket_for(key);
+  const std::size_t bi = bucket_index(key);
+  auto& b = buckets_[bi];
   for (std::size_t i = 0; i < b.size(); ++i) {
     if (b[i].key != key) continue;
     if (!stale(b[i])) return false;
     // A stale record does not block re-insertion under the new generation.
     ++stale_reclaimed_;
-    drop_record(b, i);
+    drop_record(bi, i);
     break;
   }
-  b.push_back(Record{key, value, /*ref=*/true, pinned, generation_});
-  ++size_;
+  push_record(bi, Record{key, value, /*ref=*/true, pinned, generation_});
   return true;
 }
 
 std::optional<std::uint64_t> HwHashTable::lookup(std::uint64_t key) {
-  auto& b = bucket_for(key);
+  const std::size_t bi = bucket_index(key);
+  auto& b = buckets_[bi];
   for (std::size_t i = 0; i < b.size(); ++i) {
     auto& r = b[i];
     if (r.key != key) continue;
     if (stale(r)) {
       ++stale_reclaimed_;
-      drop_record(b, i);
+      drop_record(bi, i);
       return std::nullopt;
     }
     r.ref = true;  // REF set on every reference
@@ -90,12 +111,13 @@ std::optional<std::uint64_t> HwHashTable::lookup(std::uint64_t key) {
 }
 
 bool HwHashTable::erase(std::uint64_t key) {
-  auto& b = bucket_for(key);
+  const std::size_t bi = bucket_index(key);
+  auto& b = buckets_[bi];
   for (std::size_t i = 0; i < b.size(); ++i) {
     if (b[i].key != key) continue;
     const bool was_stale = stale(b[i]);
     if (was_stale) ++stale_reclaimed_;
-    drop_record(b, i);
+    drop_record(bi, i);
     return !was_stale;  // stale records read as already-absent
   }
   return false;
@@ -113,62 +135,71 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> HwHashTable::entries()
     const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   out.reserve(size_);
-  for (const auto& bucket : buckets_) {
-    for (const auto& r : bucket) {
+  for_each_occupied(0, buckets_.size(), [&](std::size_t b) {
+    for (const auto& r : buckets_[b]) {
       if (!stale(r)) out.emplace_back(r.key, r.value);
     }
-  }
+  });
   return out;
 }
 
 std::size_t HwHashTable::sweep_stale(
     const std::function<void(std::uint64_t, std::uint64_t)>& reclaim) {
   std::size_t swept = 0;
-  for (auto& bucket : buckets_) {
+  for_each_occupied(0, buckets_.size(), [&](std::size_t b) {
+    auto& bucket = buckets_[b];
     for (std::size_t i = 0; i < bucket.size();) {
       if (stale(bucket[i])) {
         if (reclaim) reclaim(bucket[i].key, bucket[i].value);
         ++stale_reclaimed_;
         ++swept;
-        drop_record(bucket, i);
+        drop_record(b, i);
       } else {
         ++i;
       }
     }
-  }
+  });
   return swept;
 }
 
-std::vector<std::uint64_t> HwHashTable::scan_partition(std::uint32_t part,
-                                                       std::uint32_t parts,
-                                                       std::size_t max_out) {
+template <typename Report>
+std::size_t HwHashTable::scan(std::uint32_t part, std::uint32_t parts,
+                              std::size_t max_out, Report&& report) {
   if (parts == 0 || part >= parts) {
     throw std::invalid_argument("HwHashTable::scan_partition: bad partition");
   }
   const std::size_t span = partition_buckets(parts);
   const std::size_t begin = static_cast<std::size_t>(part) * span;
-  const std::size_t end =
-      begin + span < buckets_.size() ? begin + span : buckets_.size();
-  std::vector<std::uint64_t> aged;
-  for (std::size_t i = begin; i < end; ++i) {
-    auto& bucket = buckets_[i];
+  const std::size_t end = std::min(begin + span, buckets_.size());
+  std::size_t reported = 0;
+  for_each_occupied(begin, end, [&](std::size_t b) {
+    auto& bucket = buckets_[b];
     for (std::size_t j = 0; j < bucket.size();) {
       auto& r = bucket[j];
       if (stale(r)) {
         // Invalidated generation: reclaim silently, never report as aged
         // (the owner already handed the paired storage off at bump time).
         ++stale_reclaimed_;
-        drop_record(bucket, j);
+        drop_record(b, j);
         continue;
       }
       if (!r.ref) {
-        if (aged.size() < max_out) aged.push_back(r.key);
+        if (reported < max_out) report(reported++, r.key);
       } else {
         r.ref = false;
       }
       ++j;
     }
-  }
+  });
+  return reported;
+}
+
+std::vector<std::uint64_t> HwHashTable::scan_partition(std::uint32_t part,
+                                                       std::uint32_t parts,
+                                                       std::size_t max_out) {
+  std::vector<std::uint64_t> aged;
+  scan(part, parts, max_out,
+       [&aged](std::size_t, std::uint64_t key) { aged.push_back(key); });
   return aged;
 }
 
@@ -195,9 +226,8 @@ sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnReply& reply,
       // delete conditional on the stored value: a thread deleting "its"
       // record cannot take out a record re-created under the same key
       // after its own was dropped.
-      auto& b = bucket_for(req.arg0);
       reply.ok = false;
-      for (auto& r : b) {
+      for (auto& r : buckets_[bucket_index(req.arg0)]) {
         if (r.key == req.arg0 && !stale(r) &&
             (req.arg1 == 0 || r.value == req.arg1)) {
           reply.ok = true;
@@ -211,15 +241,19 @@ sim::Time HwHashTable::issue(const XtxnRequest& req, XtxnReply& reply,
     case XtxnOp::kHashScanStep: {
       const auto parts = static_cast<std::uint32_t>(req.arg0 >> 32);
       const auto part = static_cast<std::uint32_t>(req.arg0);
-      auto aged = scan_partition(part, parts == 0 ? 1 : parts,
-                                 req.arg1 == 0 ? 64 : req.arg1);
-      reply.value = aged.size();
-      reply.data.resize(aged.size() * 8);
-      for (std::size_t j = 0; j < aged.size(); ++j) {
-        for (std::size_t i = 0; i < 8; ++i) {
-          reply.data[j * 8 + i] = static_cast<std::uint8_t>(aged[j] >> (8 * i));
-        }
-      }
+      // Aged keys go straight into the reply, 8 little-endian bytes each;
+      // no partition holds more keys than the table.
+      const std::size_t max_out = req.arg1 == 0 ? 64 : req.arg1;
+      reply.data.resize(std::min(max_out, size_) * 8);
+      const std::size_t aged = scan(
+          part, parts == 0 ? 1 : parts, max_out,
+          [&reply](std::size_t j, std::uint64_t key) {
+            for (std::size_t i = 0; i < 8; ++i) {
+              reply.data[j * 8 + i] = static_cast<std::uint8_t>(key >> (8 * i));
+            }
+          });
+      reply.value = aged;
+      reply.data.resize(aged * 8);
       // A scan touches a whole partition slice; charge proportional time.
       service_cycles = static_cast<int>(
           partition_buckets(parts == 0 ? 1 : parts) * 2);

@@ -114,12 +114,25 @@ class HwHashTable {
   bool stale(const Record& r) const {
     return !r.pinned && r.gen != generation_;
   }
-  std::vector<Record>& bucket_for(std::uint64_t key);
-  void drop_record(std::vector<Record>& bucket, std::size_t i);
+  void push_record(std::size_t bucket, const Record& r);
+  void drop_record(std::size_t bucket, std::size_t i);
+  /// Calls `visit(b)` for every non-empty bucket b in [begin, end), in
+  /// ascending order; `visit` may empty the bucket it is given.
+  template <typename Visit>
+  void for_each_occupied(std::size_t begin, std::size_t end,
+                         Visit&& visit) const;
+  /// scan_partition's walk: hands each aged key to `report` (at most
+  /// `max_out` of them) and returns how many it reported.
+  template <typename Report>
+  std::size_t scan(std::uint32_t part, std::uint32_t parts,
+                   std::size_t max_out, Report&& report);
 
   sim::Simulator& sim_;
   Calibration cal_;
   std::vector<std::vector<Record>> buckets_;
+  // One bit per bucket, set while the bucket holds a record: aging scans,
+  // sweeps and entries() visit only occupied buckets.
+  std::vector<std::uint64_t> occupied_;
   std::size_t size_ = 0;
   std::uint32_t partitions_ = 0;  // 0 = whole-table hashing
   std::uint32_t generation_ = 0;

@@ -10,6 +10,16 @@
 
 namespace trio {
 
+namespace {
+
+// Actions a thread slot makes room for at its first spawn, so program
+// steps do not grow the queue: the deepest burst the datapath programs
+// queue (the aggregation head's add slices and the sync XTXN after them;
+// a microcode block's posted XTXNs, emit and control action).
+constexpr std::size_t kSlotActions = 4;
+
+}  // namespace
+
 Ppe::Ppe(sim::Simulator& simulator, const Calibration& cal, Pfe& pfe,
          int index)
     : sim_(simulator), cal_(cal), pfe_(pfe), index_(index) {
@@ -43,12 +53,15 @@ bool Ppe::spawn(std::unique_ptr<PpeProgram> program, net::PacketPtr pkt,
   free_slots_.pop_back();
 
   Thread& th = threads_[static_cast<std::size_t>(slot)];
-  // Reset in place rather than assigning a fresh ThreadContext: the LMEM
-  // and register vectors keep their capacity across thread lifetimes, so
-  // steady-state dispatch does not touch the allocator.
+  // Reset in place rather than assigning a fresh ThreadContext: the LMEM,
+  // register and action-queue vectors keep their capacity across thread
+  // lifetimes, so steady-state dispatch does not touch the allocator.
   th.ctx.lmem.resize(cal_.lmem_bytes);
   std::ranges::fill(th.ctx.lmem.mutable_bytes(), 0);
   th.ctx.regs.assign(static_cast<std::size_t>(cal_.gprs_per_thread), 0);
+  th.ctx.bus.fill(0);
+  th.ctx.actions.clear();
+  th.ctx.actions.reserve(kSlotActions);
   th.ctx.packet = std::move(pkt);
   th.ctx.reply.reset();
   th.ctx.instructions_executed = 0;
@@ -173,6 +186,9 @@ void Ppe::finish(int slot) {
                       sim_.now());
   }
   th.program.reset();
+  // A killed thread may leave queued actions (and the packets they
+  // carry) behind; drop them with the thread.
+  th.ctx.actions.clear();
   th.ctx.packet.reset();
   th.active = false;
   free_slots_.push_back(slot);

@@ -19,6 +19,8 @@
 // the engine.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,20 +33,6 @@
 #include "trio/xtxn.hpp"
 
 namespace trio {
-
-/// Per-thread state: the paper's per-thread local storage (§2.2) plus the
-/// engine's bookkeeping that programs may read.
-struct ThreadContext {
-  net::Buffer lmem;                  // 1.25 KB local memory (head preloaded)
-  std::vector<std::uint64_t> regs;   // 32 x 64-bit GPRs
-  net::PacketPtr packet;             // null for timer/internal threads
-  XtxnReply reply;                   // most recent sync-XTXN reply
-  std::uint32_t timer_index = 0;     // which timer fired (timer threads)
-  std::uint64_t instructions_executed = 0;
-  sim::Time spawn_time;
-  int ppe_index = -1;
-  int thread_slot = -1;
-};
 
 struct ActContinue {
   std::uint32_t instructions = 1;
@@ -83,12 +71,18 @@ inline std::uint32_t action_instructions(const Action& a) {
 
 /// FIFO of actions a program has queued for its next steps. One vector
 /// that rewinds once drained: a program that queues in bursts reuses the
-/// same storage instead of allocating a node per burst.
+/// same storage instead of allocating a node per burst, and the queue
+/// lives in the thread slot, so the storage also outlives the thread.
 class ActionQueue {
  public:
   bool empty() const { return head_ == items_.size(); }
   void reserve(std::size_t n) { items_.reserve(n); }
   void push_back(Action a) { items_.push_back(std::move(a)); }
+  /// Drops every queued action, keeping the storage.
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
   Action pop_front() {
     Action a = std::move(items_[head_++]);
     if (head_ == items_.size()) {
@@ -101,6 +95,31 @@ class ActionQueue {
  private:
   std::vector<Action> items_;
   std::size_t head_ = 0;
+};
+
+/// Operand-bus lanes per thread: the most 'bus'-class variables one
+/// microcode program may declare (the compiler enforces it).
+inline constexpr std::size_t kBusLanes = 8;
+
+/// Per-thread state: the paper's per-thread local storage (§2.2) plus the
+/// engine's bookkeeping that programs may read. A Ppe owns one per thread
+/// slot and resets it in place at spawn, so every vector here keeps its
+/// capacity across thread lifetimes.
+struct ThreadContext {
+  net::Buffer lmem;                  // 1.25 KB local memory (head preloaded)
+  std::vector<std::uint64_t> regs;   // 32 x 64-bit GPRs
+  std::array<std::uint64_t, kBusLanes> bus{};  // operand-bus lanes
+  /// Actions the program queued for its next steps; the program pops
+  /// them itself inside step(). Emptied at spawn and when the thread
+  /// finishes.
+  ActionQueue actions;
+  net::PacketPtr packet;             // null for timer/internal threads
+  XtxnReply reply;                   // most recent sync-XTXN reply
+  std::uint32_t timer_index = 0;     // which timer fired (timer threads)
+  std::uint64_t instructions_executed = 0;
+  sim::Time spawn_time;
+  int ppe_index = -1;
+  int thread_slot = -1;
 };
 
 class PpeProgram {

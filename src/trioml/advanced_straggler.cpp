@@ -20,7 +20,7 @@ std::uint64_t le64(std::span<const std::uint8_t> v, std::size_t off) {
 }  // namespace
 
 trio::Action StragglerClassifierProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) return pending_.pop_front();
+  if (!ctx.actions.empty()) return ctx.actions.pop_front();
   return do_step(ctx);
 }
 
@@ -100,7 +100,7 @@ trio::Action StragglerClassifierProgram::do_step(trio::ThreadContext& ctx) {
       }
       wr.req.data[8] = consec;
       wr.instructions = 3;
-      pending_.push_back(std::move(wr));
+      ctx.actions.push_back(std::move(wr));
 
       // Notify on a fresh burst (temporary) and once when the source
       // crosses the permanent threshold (§5: "notify all other workers
@@ -130,13 +130,13 @@ trio::Action StragglerClassifierProgram::do_step(trio::ThreadContext& ctx) {
         emit.pkt = net::Packet::make(std::move(frame));
         emit.nexthop_id = job_.out_nh_addr;
         emit.instructions = 8;
-        pending_.push_back(std::move(emit));
+        ctx.actions.push_back(std::move(emit));
         ++app_.stats().straggler_notices_sent;
       }
       // Queue discipline: the next source's synchronous read (or the
       // exit) must be the LAST pending action.
-      pending_.push_back(next_source(ctx));
-      return pending_.pop_front();
+      ctx.actions.push_back(next_source(ctx));
+      return ctx.actions.pop_front();
     }
 
     case State::kExit:

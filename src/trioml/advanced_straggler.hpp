@@ -67,7 +67,6 @@ class StragglerClassifierProgram : public trio::PpeProgram {
   std::size_t next_ = 0;
   std::uint8_t src_ = 0;
   std::uint64_t events_now_ = 0;
-  trio::ActionQueue pending_;
 };
 
 }  // namespace trioml

@@ -1,5 +1,6 @@
 #include "trioml/aggregator.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "trio/router.hpp"
@@ -41,20 +42,14 @@ trio::ProgramFactory make_aggregation_factory(TrioMlApp& app) {
   };
 }
 
-AggregationProgram::AggregationProgram(TrioMlApp& app) : app_(app) {
-  // Sized up front so steps never grow them: the deepest burst of queued
-  // actions is the head's add slices (3 with the 192-byte head), and the
-  // carry buffer holds one tail chunk plus up to 3 straddling bytes.
-  pending_.reserve(4);
-  carry_.reserve(app.pfe().cal().tail_chunk_bytes + 3);
-}
+AggregationProgram::AggregationProgram(TrioMlApp& app) : app_(app) {}
 
 // Queue discipline: synchronous actions are only ever queued as the LAST
-// element of pending_, so when a sync reply re-enters step() the queue is
-// empty and do_step() handles the reply for the current state.
+// element of ctx.actions, so when a sync reply re-enters step() the queue
+// is empty and do_step() handles the reply for the current state.
 
 trio::Action AggregationProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) return pending_.pop_front();
+  if (!ctx.actions.empty()) return ctx.actions.pop_front();
   return do_step(ctx);
 }
 
@@ -70,7 +65,8 @@ trio::Action AggregationProgram::finish(trio::ThreadContext& ctx,
   return trio::ActExit{instructions};
 }
 
-void AggregationProgram::queue_add_slices(std::size_t grad_byte_off,
+void AggregationProgram::queue_add_slices(trio::ThreadContext& ctx,
+                                          std::size_t grad_byte_off,
                                           std::span<const std::uint8_t> data,
                                           std::uint32_t instructions) {
   // The RMW engines sum 32-bit gradients into the aggregation buffer; the
@@ -89,7 +85,7 @@ void AggregationProgram::queue_add_slices(std::size_t grad_byte_off,
     add.req.data.assign(data.subspan(off, len));
     add.instructions = first ? instructions : 1;
     first = false;
-    pending_.push_back(std::move(add));
+    ctx.actions.push_back(std::move(add));
     off += len;
   }
 }
@@ -122,30 +118,28 @@ trio::Action AggregationProgram::begin_aggregation(trio::ThreadContext& ctx) {
   // from the head; the straddling bytes are carried into the first tail
   // chunk.
   const std::size_t head_aligned = head_avail & ~std::size_t{3};
-  carry_.clear();
   stream_pos_ = head_aligned;
   tail_off_ = 0;
   tail_total_ = grad_bytes_ - head_avail;
-  if (head_avail > head_aligned) {
-    const auto straddle =
-        ctx.lmem.view(kGradOff + head_aligned, head_avail - head_aligned);
-    carry_.assign(straddle.begin(), straddle.end());
-  }
+  const auto straddle =
+      ctx.lmem.view(kGradOff + head_aligned, head_avail - head_aligned);
+  std::ranges::copy(straddle, carry_.begin());
+  carry_len_ = straddle.size();
 
   if (head_aligned > 0) {
     // Phase one: gradients already in LMEM with the head (Fig 10).
     const auto head_grads = ctx.lmem.view(kGradOff, head_aligned);
     const auto instr = static_cast<std::uint32_t>(
         head_aligned / 4 * 12 / 10 + 4);  // ~1.2 instr/gradient
-    queue_add_slices(0, head_grads, instr);
+    queue_add_slices(ctx, 0, head_grads, instr);
   }
   return next_tail_action(ctx);
 }
 
-trio::Action AggregationProgram::next_tail_action(trio::ThreadContext&) {
-  if (!pending_.empty()) {
+trio::Action AggregationProgram::next_tail_action(trio::ThreadContext& ctx) {
+  if (!ctx.actions.empty()) {
     state_ = State::kAggregate;
-    return pending_.pop_front();
+    return ctx.actions.pop_front();
   }
   if (tail_off_ < tail_total_) {
     // Phase two: read the next 64-byte chunk of the tail into LMEM.
@@ -277,10 +271,10 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         giveback.req.addr = app_.job_active_counter_addr(hdr_.job_id);
         giveback.req.data = {0xff, 0xff, 0xff, 0xff};  // += -1 (mod 2^32)
         giveback.instructions = 1;
-        pending_.push_back(std::move(giveback));
+        ctx.actions.push_back(std::move(giveback));
         ++app_.stats().blocks_capped;
         state_ = State::kFinish;
-        return pending_.pop_front();
+        return ctx.actions.pop_front();
       }
       auto slab = app_.alloc_slab();
       if (!slab) {
@@ -293,19 +287,19 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
         dec.req.data = {0xff, 0xff, 0xff, 0xff};
         dec.instructions = 1;
-        pending_.push_back(std::move(dec));
+        ctx.actions.push_back(std::move(dec));
         if (!retried_create_) {
           retried_create_ = true;
           trio::ActSyncXtxn lu;
           lu.req.op = trio::XtxnOp::kHashLookup;
           lu.req.arg0 = key_;
           lu.instructions = 2;
-          pending_.push_back(std::move(lu));
+          ctx.actions.push_back(std::move(lu));
           state_ = State::kRetryLookup;
-          return pending_.pop_front();
+          return ctx.actions.pop_front();
         }
         state_ = State::kFinish;
-        return pending_.pop_front();
+        return ctx.actions.pop_front();
       }
       record_addr_ = slab->record_addr;
 
@@ -324,16 +318,16 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       wr.req.data.resize(kBlockSlabBytes, 0);
       wr.req.data[63] = job_.src_cnt;  // scratch: expected contributor count
       wr.instructions = 12;
-      pending_.push_back(std::move(wr));
+      ctx.actions.push_back(std::move(wr));
 
       trio::ActSyncXtxn ins;
       ins.req.op = trio::XtxnOp::kHashInsert;
       ins.req.arg0 = key_;
       ins.req.arg1 = record_addr_;
       ins.instructions = 4;
-      pending_.push_back(std::move(ins));
+      ctx.actions.push_back(std::move(ins));
       state_ = State::kInsert;
-      return pending_.pop_front();
+      return ctx.actions.pop_front();
     }
 
     case State::kInsert: {
@@ -348,14 +342,14 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
         dec.req.data = {0xff, 0xff, 0xff, 0xff};
         dec.instructions = 1;
-        pending_.push_back(std::move(dec));
+        ctx.actions.push_back(std::move(dec));
         trio::ActSyncXtxn lu;
         lu.req.op = trio::XtxnOp::kHashLookup;
         lu.req.arg0 = key_;
         lu.instructions = 2;
-        pending_.push_back(std::move(lu));
+        ctx.actions.push_back(std::move(lu));
         state_ = State::kBlockLookup;
-        return pending_.pop_front();
+        return ctx.actions.pop_front();
       }
       ++app_.stats().blocks_created;
       return claim_source(ctx);
@@ -379,19 +373,21 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       // buffer (~1.2 run-time instructions per gradient, §6.3). Any
       // bytes carried over from the head/previous chunk are prepended so
       // adds stay 32-bit aligned.
-      tail_off_ += ctx.reply.data.size();
-      carry_.insert(carry_.end(), ctx.reply.data.begin(),
-                    ctx.reply.data.end());
-      const std::size_t aligned = carry_.size() & ~std::size_t{3};
+      const std::size_t chunk = ctx.reply.data.size();
+      tail_off_ += chunk;
+      std::ranges::copy(ctx.reply.data, carry_.begin() + carry_len_);
+      carry_len_ += chunk;
+      const std::size_t aligned = carry_len_ & ~std::size_t{3};
       if (aligned > 0) {
         const auto instr =
             static_cast<std::uint32_t>(aligned / 4 * 12 / 10 + 1);
-        queue_add_slices(stream_pos_,
+        queue_add_slices(ctx, stream_pos_,
                          std::span<const std::uint8_t>(carry_.data(), aligned),
                          instr);
         stream_pos_ += aligned;
-        carry_.erase(carry_.begin(),
-                     carry_.begin() + static_cast<std::ptrdiff_t>(aligned));
+        std::copy(carry_.begin() + aligned, carry_.begin() + carry_len_,
+                  carry_.begin());
+        carry_len_ -= aligned;
       }
       return next_tail_action(ctx);
     }
@@ -406,16 +402,16 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         dg.req.addr = record_addr_ + kDegradedFlagOff;
         dg.req.data = {1};
         dg.instructions = 1;
-        pending_.push_back(std::move(dg));
+        ctx.actions.push_back(std::move(dg));
       }
       trio::ActSyncXtxn add;
       add.req.op = trio::XtxnOp::kFetchAdd32;
       add.req.addr = record_addr_ + kSrcCntAccumOff;
       add.req.arg0 = hdr_.src_cnt == 0 ? 1 : hdr_.src_cnt;
       add.instructions = 2;
-      pending_.push_back(std::move(add));
+      ctx.actions.push_back(std::move(add));
       state_ = State::kAccumReply;
-      return pending_.pop_front();
+      return ctx.actions.pop_front();
     }
 
     case State::kAccumReply: {
@@ -439,13 +435,13 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       cnt.req.addr = record_addr_ + BlockRecord::kRcvdCntOff;
       cnt.req.data = {static_cast<std::uint8_t>(count)};
       cnt.instructions = 1;
-      pending_.push_back(std::move(cnt));
+      ctx.actions.push_back(std::move(cnt));
 
       // Jobs with more than 64 sources would consult rcvd_mask_1..3; the
       // datapath fast path serves <= 64 sources (masks 1..3 stay zero).
       if (hdr_.src_id / 64 != 0 || count < job_src_cnt_) {
         state_ = State::kFinish;
-        return pending_.pop_front();
+        return ctx.actions.pop_front();
       }
       // Complete: atomically claim the block by deleting its hash record
       // (an aging timer thread may race us — exactly one side wins). The
@@ -456,9 +452,9 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       del.req.arg0 = key_;
       del.req.arg1 = record_addr_;
       del.instructions = 3;
-      pending_.push_back(std::move(del));
+      ctx.actions.push_back(std::move(del));
       state_ = State::kDeleted;
-      return pending_.pop_front();
+      return ctx.actions.pop_front();
     }
 
     case State::kDeleted: {
@@ -474,7 +470,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
         dec.req.addr = app_.job_active_counter_addr(hdr_.job_id);
         dec.req.data = {0xff, 0xff, 0xff, 0xff};
         dec.instructions = 1;
-        pending_.push_back(std::move(dec));
+        ctx.actions.push_back(std::move(dec));
       }
       const sim::Time now = app_.pfe().router().simulator().now();
       const sim::Duration block_age =
@@ -522,7 +518,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       ctr.req.addr = app_.job_counter_addr(hdr_.job_id);
       ctr.req.arg0 = std::uint64_t(record_.grad_cnt) * 4;
       ctr.instructions = 1;
-      pending_.push_back(std::move(ctr));
+      ctx.actions.push_back(std::move(ctr));
 
       ResultBuilder::Inputs in;
       in.key = key_;
@@ -534,7 +530,7 @@ trio::Action AggregationProgram::do_step(trio::ThreadContext& ctx) {
       in.final_block = hdr_.final_block;
       builder_.emplace(app_, std::move(in));
       state_ = State::kResult;
-      return pending_.pop_front();
+      return ctx.actions.pop_front();
     }
 
     case State::kResult: {

@@ -13,6 +13,7 @@
 // gradient in the tail loop).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -60,13 +61,12 @@ class AggregationProgram : public trio::PpeProgram {
   trio::Action begin_aggregation(trio::ThreadContext& ctx);
   trio::Action next_tail_action(trio::ThreadContext& ctx);
   trio::Action finish(trio::ThreadContext& ctx, std::uint32_t instructions);
-  void queue_add_slices(std::size_t grad_byte_off,
+  void queue_add_slices(trio::ThreadContext& ctx, std::size_t grad_byte_off,
                         std::span<const std::uint8_t> data,
                         std::uint32_t instructions);
 
   TrioMlApp& app_;
   State state_ = State::kParse;
-  trio::ActionQueue pending_;
 
   TrioMlHeader hdr_;
   std::uint64_t key_ = 0;
@@ -80,7 +80,10 @@ class AggregationProgram : public trio::PpeProgram {
   std::size_t stream_pos_ = 0;   // gradient byte offset of the next add
   std::size_t tail_off_ = 0;     // tail bytes read so far
   std::size_t tail_total_ = 0;   // total tail bytes to read
-  std::vector<std::uint8_t> carry_;  // bytes straddling chunk boundaries
+  // Bytes straddling chunk boundaries: up to 3 left over plus one tail
+  // chunk (TrioMlApp rejects a calibration with larger chunks).
+  std::array<std::uint8_t, trio::kMaxTailChunkBytes + 3> carry_{};
+  std::size_t carry_len_ = 0;
   std::uint8_t accum_src_cnt_ = 0;
   bool scratch_degraded_ = false;
   bool retried_create_ = false;

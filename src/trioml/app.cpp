@@ -12,6 +12,9 @@ namespace trioml {
 
 TrioMlApp::TrioMlApp(trio::Pfe& pfe, Config config)
     : pfe_(pfe), config_(config) {
+  if (pfe_.cal().tail_chunk_bytes > trio::kMaxTailChunkBytes) {
+    throw std::invalid_argument("TrioMlApp: tail chunk exceeds 64 bytes");
+  }
   // Pre-allocate the block slab pool: 64-byte records in on-chip SRAM
   // (hot, small), 4 KiB aggregation buffers in DMEM (large — §2.3 "data
   // structures to be placed in the type of memory that best matches
@@ -20,11 +23,16 @@ TrioMlApp::TrioMlApp(trio::Pfe& pfe, Config config)
   free_slabs_.reserve(config_.slab_pool);
   for (std::size_t i = 0; i < config_.slab_pool; ++i) {
     Slab slab;
-    slab.record_addr = sms.alloc_sram(kBlockSlabBytes, 64);
-    slab.buffer_addr =
-        sms.alloc_dram(std::size_t(kMaxGradsPerPacket) * 4, 64);
-    record_to_buffer_.emplace(slab.record_addr, slab.buffer_addr);
-    buffer_to_record_.emplace(slab.buffer_addr, slab.record_addr);
+    slab.record_addr = sms.alloc_sram(kRecordStride, 64);
+    slab.buffer_addr = sms.alloc_dram(kBufferStride, 64);
+    if (i == 0) {
+      record_base_ = slab.record_addr;
+      buffer_base_ = slab.buffer_addr;
+    }
+    if (slab.record_addr != record_base_ + i * kRecordStride ||
+        slab.buffer_addr != buffer_base_ + i * kBufferStride) {
+      throw std::logic_error("TrioMlApp: slab pool is not contiguous");
+    }
     free_slabs_.push_back(slab);
   }
   auto& registry = pfe_.router().telemetry().metrics;
@@ -101,9 +109,7 @@ std::size_t TrioMlApp::drop_active_blocks(std::uint8_t job_id) {
     // Co-tenant apps share the hash table: a foreign key (e.g. a netrpc
     // cache presence entry whose tenant id matches this job id) points at
     // SMS state that is not a block record — leave it alone.
-    if (record_to_buffer_.find(record_addr) == record_to_buffer_.end()) {
-      continue;
-    }
+    if (!is_slab_record(record_addr)) continue;
     hash.erase(key);
     quarantine_slab(Slab{record_addr, buffer_of_record(record_addr)});
     ++dropped;
@@ -133,9 +139,7 @@ std::size_t TrioMlApp::invalidate_active_blocks() {
         split_key(key, j, gen, block);
         // Swept foreign entries (a co-tenant app's keys — the kill took
         // their state too) have no slab to free here.
-        if (record_to_buffer_.find(record_addr) == record_to_buffer_.end()) {
-          return;
-        }
+        if (!is_slab_record(record_addr)) return;
         ++per_job[j];
         free_slab(Slab{record_addr, buffer_of_record(record_addr)});
       });
@@ -278,19 +282,15 @@ void TrioMlApp::schedule_slab_reclaim() {
 }
 
 void TrioMlApp::free_slab_by_buffer(std::uint64_t buffer_addr) {
-  auto it = buffer_to_record_.find(buffer_addr);
-  if (it == buffer_to_record_.end()) {
-    throw std::logic_error("TrioMlApp: unknown aggregation buffer");
-  }
-  free_slab(Slab{it->second, buffer_addr});
+  const auto i = slab_of(buffer_addr, buffer_base_, kBufferStride);
+  if (!i) throw std::logic_error("TrioMlApp: unknown aggregation buffer");
+  free_slab(Slab{record_base_ + *i * kRecordStride, buffer_addr});
 }
 
 std::uint64_t TrioMlApp::buffer_of_record(std::uint64_t record_addr) const {
-  auto it = record_to_buffer_.find(record_addr);
-  if (it == record_to_buffer_.end()) {
-    throw std::logic_error("TrioMlApp: unknown block record");
-  }
-  return it->second;
+  const auto i = slab_of(record_addr, record_base_, kRecordStride);
+  if (!i) throw std::logic_error("TrioMlApp: unknown block record");
+  return buffer_base_ + *i * kBufferStride;
 }
 
 }  // namespace trioml

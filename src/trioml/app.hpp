@@ -147,6 +147,11 @@ class TrioMlApp {
   void quarantine_slab(const Slab& slab);
   /// Buffer address belonging to a record address (slabs are paired).
   std::uint64_t buffer_of_record(std::uint64_t record_addr) const;
+  /// True when `record_addr` is one of this app's slab records (a hash
+  /// value from a co-tenant app points elsewhere).
+  bool is_slab_record(std::uint64_t record_addr) const {
+    return slab_of(record_addr, record_base_, kRecordStride).has_value();
+  }
 
   trio::Pfe& pfe() { return pfe_; }
   std::uint64_t job_counter_addr(std::uint8_t job_id) const;
@@ -186,6 +191,21 @@ class TrioMlApp {
   telemetry::Histogram block_latency_hist() { return block_latency_hist_; }
 
  private:
+  // Slab i's record and buffer sit at fixed strides from slab 0's: the
+  // SMS bump allocators carve the pool contiguously (checked at
+  // construction), so the pairing is arithmetic, not a lookup table.
+  static constexpr std::uint64_t kRecordStride = kBlockSlabBytes;
+  static constexpr std::uint64_t kBufferStride =
+      std::uint64_t{kMaxGradsPerPacket} * 4;
+  /// Index of the slab whose record (or buffer, with that base and
+  /// stride) lives at `addr`; nullopt for any other address.
+  std::optional<std::uint64_t> slab_of(std::uint64_t addr, std::uint64_t base,
+                                       std::uint64_t stride) const {
+    if (addr < base || (addr - base) % stride != 0) return std::nullopt;
+    const std::uint64_t i = (addr - base) / stride;
+    if (i >= config_.slab_pool) return std::nullopt;
+    return i;
+  }
   void schedule_slab_reclaim();
 
   trio::Pfe& pfe_;
@@ -193,8 +213,8 @@ class TrioMlApp {
   std::vector<Slab> free_slabs_;
   std::vector<Slab> quarantined_slabs_;
   bool reclaim_scheduled_ = false;
-  std::unordered_map<std::uint64_t, std::uint64_t> record_to_buffer_;
-  std::unordered_map<std::uint64_t, std::uint64_t> buffer_to_record_;
+  std::uint64_t record_base_ = 0;
+  std::uint64_t buffer_base_ = 0;
   std::unordered_map<std::uint8_t, std::uint64_t> job_records_;
   std::unordered_map<std::uint8_t, std::uint64_t> job_counters_;
   std::unordered_map<std::uint8_t, std::uint64_t> job_active_counters_;

@@ -3,7 +3,7 @@
 namespace trioml {
 
 trio::Action StragglerScanProgram::step(trio::ThreadContext& ctx) {
-  if (!pending_.empty()) return pending_.pop_front();
+  if (!ctx.actions.empty()) return ctx.actions.pop_front();
   return do_step(ctx);
 }
 
@@ -112,7 +112,7 @@ trio::Action StragglerScanProgram::do_step(trio::ThreadContext& ctx) {
         dec.req.addr = app_.job_active_counter_addr(job_id);
         dec.req.data = {0xff, 0xff, 0xff, 0xff};
         dec.instructions = 1;
-        pending_.push_back(std::move(dec));
+        ctx.actions.push_back(std::move(dec));
       }
       if (app_.profiling_enabled(job_id)) {
         const std::uint64_t missing =
@@ -125,7 +125,7 @@ trio::Action StragglerScanProgram::do_step(trio::ThreadContext& ctx) {
                 job_id, static_cast<std::uint8_t>(s));
             inc.req.arg0 = record_.grad_cnt;
             inc.instructions = 1;
-            pending_.push_back(std::move(inc));
+            ctx.actions.push_back(std::move(inc));
             ++app_.stats().straggler_events;
           }
         }

@@ -53,7 +53,6 @@ class StragglerScanProgram : public trio::PpeProgram {
   BlockRecord record_;
   std::uint8_t accum_src_cnt_ = 0;
   std::optional<ResultBuilder> builder_;
-  trio::ActionQueue pending_;  // posted charges (§5 profiling)
 };
 
 }  // namespace trioml

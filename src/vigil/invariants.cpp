@@ -181,7 +181,7 @@ void InvariantEngine::check_netrpc_accounting() {
   if (jobs_ == nullptr) return;
   netrpc::NetRpcApp* app = jobs_->netrpc_app();
   if (app == nullptr) return;
-  for (std::uint8_t tenant : app->configured_tenants()) {
+  for (std::uint8_t tenant : *app->configured_tenants()) {
     const std::uint64_t merged =
         app->counter_packets(tenant, netrpc::kCtrMerged);
     const std::uint64_t completed =

@@ -17,6 +17,7 @@
 #include "jobs/job_manager.hpp"
 #include "jobs/tenant.hpp"
 #include "recovery/recovery.hpp"
+#include "sim/digest.hpp"
 #include "trio/hash_table.hpp"
 
 namespace {
@@ -281,6 +282,27 @@ TEST(MultiTenant, ThreeTenantGoldenDigestIsDeterministic) {
 TEST(MultiTenant, SoloDigestMatchesPinnedValue) {
   EXPECT_EQ(run_solo(allreduce_tenant(2)).tenants[0].digest(),
             0xb5ef75eaa1d69a35ull);
+}
+
+// A best-effort tenant's digest folds the frames and bytes its sources
+// put on their host links, so a replay that offered different load reads
+// differently (it used to be the empty digest, whatever ran).
+TEST(MultiTenant, BestEffortDigestMatchesPinnedValue) {
+  Cluster cl(small_spec());
+  jobs::JobManager mgr(cl);
+  ASSERT_TRUE(mgr.admit(allreduce_tenant(2, 4)).admitted);
+  ASSERT_TRUE(mgr.admit(allreduce_tenant(3, 2)).admitted);
+  ASSERT_TRUE(mgr.admit(aggressor_tenant(4, 0.9)).admitted);
+  mgr.enable_isolation();
+  const auto run = mgr.run(1, at_us(50'000));
+  const jobs::TenantRun* be = run.tenant(4);
+  ASSERT_NE(be, nullptr);
+  EXPECT_GT(be->frames_delivered, 0u);
+  // Every best-effort frame carries a 1400-byte payload behind 42 bytes
+  // of Ethernet, IPv4 and UDP headers.
+  EXPECT_EQ(be->bytes_delivered, be->frames_delivered * 1442u);
+  EXPECT_NE(be->digest(), sim::Digest::kOffsetBasis);
+  EXPECT_EQ(be->digest(), 0xcd6462c50d444d26ull);
 }
 
 // --- Tenant-scoped faults ---------------------------------------------------

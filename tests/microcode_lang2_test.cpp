@@ -3,6 +3,8 @@
 // function calls and gotos, and switch statements").
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "microcode/compiler.hpp"
 #include "microcode/error.hpp"
 #include "microcode/interpreter.hpp"
@@ -345,6 +347,16 @@ TEST(Lang2Bus, BusWritesDoNotConsumeWritePorts) {
       Exit();
     end
   )"));
+}
+
+TEST(Lang2Bus, OneVariablePerOperandBusLane) {
+  // The lanes are a fixed per-thread resource, like the registers: eight
+  // bus variables compile, a ninth is rejected.
+  std::string decls;
+  for (int i = 0; i < 8; ++i) decls += "bus t" + std::to_string(i) + ";\n";
+  const std::string body = "a:\nbegin\n  Exit();\nend\n";
+  EXPECT_NO_THROW(microcode::compile(decls + body));
+  EXPECT_THROW(microcode::compile(decls + "bus t8;\n" + body), CompileError);
 }
 
 TEST(Lang2Bus, NoInitializersOrTypes) {

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "trio/forwarding.hpp"
 #include "trio/reorder.hpp"
@@ -71,6 +79,201 @@ TEST(Reorder, DoubleCloseThrows) {
   const auto t = re.open(1);
   re.close(t);
   EXPECT_THROW(re.close(t), std::logic_error);
+}
+
+TEST(Reorder, ReleaseSinkMayOpenTicketsOnTheSameFlow) {
+  // A released output that re-enters the PFE on the same flow (a local
+  // loop) opens its ticket from inside the release; the new ticket heads
+  // the flow and releases on its own close.
+  std::vector<std::uint32_t> released;
+  trio::ReorderEngine* engine = nullptr;
+  std::uint64_t reopened = 0;
+  trio::ReorderEngine re([&](trio::ReorderEngine::Output out) {
+    released.push_back(out.nexthop_id);
+    if (out.nexthop_id == 1) reopened = engine->open(7);
+  });
+  engine = &re;
+  const auto t = re.open(7);
+  re.attach(t, {nullptr, 1});
+  re.close(t);
+  ASSERT_NE(reopened, 0u);
+  EXPECT_EQ(re.pending(), 1u);
+  re.attach(reopened, {nullptr, 2});
+  re.close(reopened);
+  EXPECT_EQ(released, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(re.pending(), 0u);
+}
+
+/// The original map-based engine: one unordered_map entry per ticket
+/// with its own output vector, and a deque of ticket ids per flow. The
+/// ring engine must release exactly what this model releases, in the same
+/// order, and throw where it throws.
+class ReferenceReorder {
+ public:
+  using Output = trio::ReorderEngine::Output;
+
+  explicit ReferenceReorder(std::vector<std::uint32_t>& released)
+      : released_(released) {}
+
+  std::uint64_t open(std::uint64_t flow) {
+    const std::uint64_t id = next_ticket_++;
+    tickets_.emplace(id, Ticket{flow, false, {}});
+    flows_[flow].push_back(id);
+    return id;
+  }
+  void attach(std::uint64_t ticket, Output out) {
+    auto it = tickets_.find(ticket);
+    if (it == tickets_.end()) throw std::logic_error("unknown ticket");
+    if (it->second.closed) throw std::logic_error("ticket already closed");
+    it->second.outputs.push_back(std::move(out));
+  }
+  void close(std::uint64_t ticket) {
+    auto it = tickets_.find(ticket);
+    if (it == tickets_.end()) throw std::logic_error("unknown ticket");
+    if (it->second.closed) throw std::logic_error("ticket closed twice");
+    it->second.closed = true;
+    auto fit = flows_.find(it->second.flow);
+    auto& q = fit->second;
+    while (!q.empty()) {
+      auto tit = tickets_.find(q.front());
+      if (!tit->second.closed) break;
+      for (auto& out : tit->second.outputs) released_.push_back(out.nexthop_id);
+      tickets_.erase(tit);
+      q.pop_front();
+    }
+    if (q.empty()) flows_.erase(fit);
+  }
+  std::size_t pending() const { return tickets_.size(); }
+
+ private:
+  struct Ticket {
+    std::uint64_t flow;
+    bool closed = false;
+    std::vector<Output> outputs;
+  };
+  std::vector<std::uint32_t>& released_;
+  std::unordered_map<std::uint64_t, Ticket> tickets_;
+  std::unordered_map<std::uint64_t, std::deque<std::uint64_t>> flows_;
+  std::uint64_t next_ticket_ = 1;
+};
+
+/// Runs `fn` on both engines and checks that either both throw a
+/// logic_error or neither does. Returns true when they threw.
+template <typename Fn>
+bool both_throw_alike(Fn&& fn, trio::ReorderEngine& ring,
+                      ReferenceReorder& ref) {
+  bool ring_threw = false;
+  bool ref_threw = false;
+  try {
+    fn(ring);
+  } catch (const std::logic_error&) {
+    ring_threw = true;
+  }
+  try {
+    fn(ref);
+  } catch (const std::logic_error&) {
+    ref_threw = true;
+  }
+  EXPECT_EQ(ring_threw, ref_threw);
+  return ring_threw;
+}
+
+TEST(Reorder, RingMatchesMapReferenceUnderRandomTraffic) {
+  // Seeded random open/attach/close over many flows. Some tickets are
+  // held open for thousands of operations, so the live window outgrows
+  // the ring (growth) while ids run far past its size (wrap-around).
+  // Every so often an operation targets a released, never-opened or
+  // already-closed ticket, and both engines must reject it.
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    sim::Rng rng(seed);
+    std::vector<std::uint32_t> ring_out;
+    std::vector<std::uint32_t> ref_out;
+    trio::ReorderEngine ring([&ring_out](trio::ReorderEngine::Output out) {
+      ring_out.push_back(out.nexthop_id);
+    });
+    ReferenceReorder ref(ref_out);
+    std::vector<std::uint64_t> open_tickets;
+    std::vector<std::uint64_t> closed_tickets;  // closed, maybe released
+    std::uint32_t tag = 0;
+    std::uint64_t next_id = 1;
+    std::size_t rejected = 0;
+    std::uint64_t widest = 0;  // largest live id window seen
+    for (int op = 0; op < 40000; ++op) {
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 36 || open_tickets.empty()) {
+        // Many flows, including the zero flow and wide hash values.
+        const std::uint64_t flow = rng.next_below(4) == 0
+                                       ? rng.next_u64()
+                                       : rng.next_below(97);
+        const std::uint64_t a = ring.open(flow);
+        const std::uint64_t b = ref.open(flow);
+        ASSERT_EQ(a, b);
+        ASSERT_EQ(a, next_id++);
+        open_tickets.push_back(a);
+        widest = std::max(
+            widest, a - *std::min_element(open_tickets.begin(),
+                                          open_tickets.end()));
+      } else if (r < 60) {
+        const std::uint64_t t =
+            open_tickets[rng.next_below(open_tickets.size())];
+        const std::uint32_t nh = ++tag;
+        ring.attach(t, {nullptr, nh});
+        ref.attach(t, {nullptr, nh});
+      } else if (r < 97) {
+        // Close a random open ticket, but mostly spare the oldest four:
+        // they live for hundreds of operations, so the window between
+        // them and the newest id spans several ring sizes.
+        std::size_t k = rng.next_below(open_tickets.size());
+        if (rng.next_below(32) == 0) {
+          k = 0;
+        } else if (k < 4) {
+          k = open_tickets.size() - 1;
+        }
+        const std::uint64_t t = open_tickets[k];
+        open_tickets.erase(open_tickets.begin() +
+                           static_cast<std::ptrdiff_t>(k));
+        ring.close(t);
+        ref.close(t);
+        closed_tickets.push_back(t);
+      } else {
+        // A rejected operation: attach to or close a closed or released
+        // ticket, or name one that was never opened.
+        std::uint64_t t = next_id + rng.next_below(8);
+        if (!closed_tickets.empty() && rng.next_below(4) != 0) {
+          t = closed_tickets[rng.next_below(closed_tickets.size())];
+        } else if (rng.next_below(8) == 0) {
+          t = 0;
+        }
+        const bool close = rng.next_below(2) == 0;
+        const std::uint32_t nh = ++tag;
+        const bool threw = both_throw_alike(
+            [&](auto& engine) {
+              if (close) {
+                engine.close(t);
+              } else {
+                engine.attach(t, {nullptr, nh});
+              }
+            },
+            ring, ref);
+        ASSERT_TRUE(threw) << "ticket " << t;
+        ++rejected;
+      }
+      ASSERT_EQ(ring.pending(), ref.pending()) << "op " << op;
+      ASSERT_EQ(ring_out, ref_out) << "op " << op;
+    }
+    // Drain: every ticket closes, so both engines release everything.
+    for (const std::uint64_t t : open_tickets) {
+      ring.close(t);
+      ref.close(t);
+    }
+    EXPECT_EQ(ring.pending(), 0u);
+    EXPECT_EQ(ref.pending(), 0u);
+    EXPECT_EQ(ring_out, ref_out);
+    EXPECT_EQ(ring.released(), ring_out.size());
+    EXPECT_GT(rejected, 100u);
+    EXPECT_GT(widest, 256u) << "the live window must outgrow the ring";
+    EXPECT_GT(next_id, 10 * widest) << "ids must wrap the ring many times";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <unordered_set>
+#include <vector>
 
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "trio/hash.hpp"
 #include "trio/hash_table.hpp"
@@ -99,6 +102,56 @@ TEST_F(HashTableTest, PartitionedScanCoversEverythingExactlyOnce) {
     }
   }
   EXPECT_EQ(aged.size(), 500u);
+}
+
+TEST_F(HashTableTest, EmptyingABucketHidesNoOtherRecord) {
+  // Scans and entries() skip empty buckets by an occupancy bitmap. Erase
+  // the records in a seeded order, emptying buckets beside occupied ones
+  // in the same bitmap word, and check that every walk still finds
+  // exactly the live records.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; k <= 1024; ++k) {  // ~4 per bucket
+    ASSERT_TRUE(table.insert(k, k));
+    keys.push_back(k);
+  }
+  sim::Rng rng(5);
+  for (std::size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.next_below(i + 1)]);
+  }
+  std::set<std::uint64_t> live(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(table.erase(keys[i]));
+    live.erase(keys[i]);
+    if (i % 32 != 31) continue;
+    std::set<std::uint64_t> listed;
+    for (const auto& [key, value] : table.entries()) listed.insert(key);
+    ASSERT_EQ(listed, live);
+    table.scan_partition(0, 1, keys.size());  // clears every REF flag
+    const auto aged = table.scan_partition(0, 1, keys.size());
+    ASSERT_EQ(std::set<std::uint64_t>(aged.begin(), aged.end()), live);
+  }
+}
+
+TEST_F(HashTableTest, KeyPartitionsRehashKeepsEveryRecord) {
+  // Keys of 8 jobs (the job id is the top key byte) inserted unsliced,
+  // then rehashed into 4 slices: each record lands in its job's slice and
+  // stays findable, and the count is unchanged.
+  for (std::uint64_t job = 0; job < 8; ++job) {
+    for (std::uint64_t k = 0; k < 100; ++k) table.insert(job << 48 | k, k);
+  }
+  table.enable_key_partitions(4);
+  EXPECT_EQ(table.size(), 800u);
+  EXPECT_EQ(table.entries().size(), 800u);
+  for (std::uint64_t job = 0; job < 8; ++job) {
+    const auto [first, last] =
+        table.partition_range(static_cast<std::uint8_t>(job));
+    for (std::uint64_t k = 0; k < 100; ++k) {
+      const std::uint64_t key = job << 48 | k;
+      EXPECT_EQ(table.lookup(key), k);
+      EXPECT_GE(table.bucket_index(key), first);
+      EXPECT_LT(table.bucket_index(key), last);
+    }
+  }
 }
 
 TEST_F(HashTableTest, ScanBadPartitionThrows) {
